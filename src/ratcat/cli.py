@@ -1,8 +1,8 @@
 """Command-line front end: compute, render, verify, and regenerate the
 checked-in golden tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 computation
-contract violation.
+Exit codes: 0 success, 1 verification failure or a closed output pipe,
+2 usage error, 3 computation contract violation.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .frob import (
     SchurPositivityError,
@@ -98,7 +99,7 @@ def main(argv=None):
                     "and parking functions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", choices=["json", "matrix", "tex"],
                         default="matrix")
     common.add_argument("--out", metavar="FILE")
@@ -140,7 +141,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; devnull keeps the exit-time flush from failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SweepContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 3
@@ -195,8 +202,8 @@ def _dispatch(args):
         root = _golden_dir()
         bad = []
         for name in sorted(tables):
-            path = os.path.join(root, name)
-            on_disk = open(path).read() if os.path.exists(path) else None
+            path = Path(root, name)
+            on_disk = path.read_text() if path.exists() else None
             ok = on_disk == tables[name]
             print(f"{'ok  ' if ok else 'DIFF'} {name}")
             if not ok:

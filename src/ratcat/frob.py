@@ -12,12 +12,11 @@ from .parking import (
     dinv_rational,
     drw_classical,
     drw_rational,
-    gp_vectors,
     ides,
     labelings_of,
 )
-from .partitions import multiplicities, normalize, partitions_of, z_lambda
-from .paths import DyckPath, area, enumerate_dyck, sweep
+from .partitions import multiplicities, partitions_of, z_lambda
+from .paths import area, east_counts, enumerate_dyck, sweep
 from .qt import LaurentQT
 from .symfunc import (
     SymExpansion,
@@ -136,24 +135,31 @@ def pf_qt(a, b, descending=False):
     anything else raises SchurPositivityError.
     """
     _require_coprime(a, b)
+    step = -1 if descending else 1
+    return _shuffle_schur(a, b, lambda pf: drw_rational(pf)[::step],
+                          dinv_rational, f"in frame ({a},{b})")
+
+
+def _shuffle_schur(a, b, reading_word, dinv, where):
+    """Schur expansion of sum_P q^area t^dinv F_{a, IDes(reading word)} over
+    the (a,b) parking functions: the F_{a,S} are folded over the descent-set
+    histogram, converted m -> s, and checked to be Schur positive."""
     by_ides = {}
     for d in enumerate_dyck(a, b):
+        ar = area(d)
         for pf in labelings_of(d):
-            word = drw_rational(pf)
-            if descending:
-                word = word[::-1]
-            key = ides(word)
-            w = LaurentQT.monomial(area(d), dinv_rational(pf))
+            key = ides(reading_word(pf))
+            w = LaurentQT.monomial(ar, dinv(pf))
             by_ides[key] = by_ides.get(key, LaurentQT.zero()) + w
-    acc = VarPoly(max(a, 1))
+    acc = VarPoly(a)
     for S, w in by_ides.items():
-        acc = acc + expand_fundamental(a, S, max(a, 1)) * w
+        acc = acc + expand_fundamental(a, S, a) * w
     result = basis_convert(varpoly_to_m(acc, a), "s")
     for lam, c in result.coeffs:
         for _, _, coef in c.terms():
             if not isinstance(coef, int) or coef < 0:
                 raise SchurPositivityError(
-                    f"coefficient of s_{lam} in frame ({a},{b}) contains {coef}"
+                    f"coefficient of s_{lam} {where} contains {coef}"
                 )
     return result
 
@@ -174,24 +180,7 @@ def classical_shuffle_side(n):
     parking functions (the combinatorial side only)."""
     if n < 1:
         raise ValueError("n must be positive")
-    by_ides = {}
-    for d in enumerate_dyck(n, n):
-        ar = area(d)
-        for pf in labelings_of(d):
-            key = ides(drw_classical(pf))
-            w = LaurentQT.monomial(ar, dinv_classical(pf))
-            by_ides[key] = by_ides.get(key, LaurentQT.zero()) + w
-    acc = VarPoly(n)
-    for S, w in by_ides.items():
-        acc = acc + expand_fundamental(n, S, n) * w
-    result = basis_convert(varpoly_to_m(acc, n), "s")
-    for lam, c in result.coeffs:
-        for _, _, coef in c.terms():
-            if not isinstance(coef, int) or coef < 0:
-                raise SchurPositivityError(
-                    f"coefficient of s_{lam} at n={n} contains {coef}"
-                )
-    return result
+    return _shuffle_schur(n, n, drw_classical, dinv_classical, f"at n={n}")
 
 
 def classical_cat_qt(n):
@@ -199,7 +188,7 @@ def classical_cat_qt(n):
     rows i < j with g_i = g_j or g_i = g_j + 1."""
     total = LaurentQT.zero()
     for d in enumerate_dyck(n, n):
-        g = [i - x for i, x in enumerate(_east_counts_cached(d))]
+        g = [i - x for i, x in enumerate(east_counts(d.word))]
         dinv = sum(
             1
             for i in range(n)
@@ -208,12 +197,6 @@ def classical_cat_qt(n):
         )
         total = total + LaurentQT.monomial(sum(g), dinv)
     return total
-
-
-def _east_counts_cached(d):
-    from .paths import east_counts
-
-    return east_counts(d.word)
 
 
 def dimension_check(a, b):

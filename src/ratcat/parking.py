@@ -4,13 +4,16 @@ A parking function is a Dyck path plus north-step labels listed bottom to
 top, strictly increasing within each vertical run. Classical objects live in
 an n x n frame; rational objects in a coprime (a,b) frame. The stretched
 object P'' used by the rational dinv statistic carries multiset labels and is
-exempt from the permutation check.
+exempt from the permutation check. The public constructor validates; objects
+derived from validated ones (the labelings of a path, the stretch P'') are
+built by a trusted constructor that skips the checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 from .paths import DyckPath, area, east_counts, levels, sweep
@@ -23,22 +26,27 @@ class ParkingFunction:
     a: int
     b: int
     multiset: bool = False
+    path: DyckPath = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        path = DyckPath(self.word, self.a, self.b)  # validates frame + Dyck
-        del path
+        object.__setattr__(self, "path", DyckPath(self.word, self.a, self.b))
         if len(self.labels) != self.a:
             raise ValueError("one label per north step required")
-        if not self.multiset and sorted(self.labels) != list(range(1, self.a + 1)):
+        if self.multiset:
+            return
+        if sorted(self.labels) != list(range(1, self.a + 1)):
             raise ValueError(f"labels {self.labels} are not a permutation of 1..{self.a}")
         for run in _run_label_groups(self.word, self.labels):
             if any(run[i] >= run[i + 1] for i in range(len(run) - 1)):
-                if not self.multiset:
-                    raise ValueError(f"labels {run} do not increase up a column")
+                raise ValueError(f"labels {run} do not increase up a column")
 
-    @property
-    def path(self):
-        return DyckPath(self.word, self.a, self.b)
+    @classmethod
+    def _trusted(cls, path, labels, multiset=False):
+        """Build on a validated path from labels known to fit it; no checks."""
+        pf = object.__new__(cls)
+        pf.__dict__.update(word=path.word, labels=labels, a=path.a, b=path.b,
+                           multiset=multiset, path=path)
+        return pf
 
     def area(self):
         return area(self.path)
@@ -120,7 +128,7 @@ def labelings_of(d: DyckPath):
     """All parking functions with underlying path d."""
     run_sizes = [len(g) for g in _run_label_groups(d.word, range(d.a))]
     for labels in _distribute(list(range(1, d.a + 1)), run_sizes):
-        yield ParkingFunction(d.word, labels, d.a, d.b)
+        yield ParkingFunction._trusted(d, labels)
 
 
 def _distribute(pool, sizes):
@@ -309,29 +317,15 @@ def stretch_to_ppp(pf: ParkingFunction) -> ParkingFunction:
             row += 1
         else:
             word.append("E" * y)
-    word = "".join(word)
-    assert word.endswith("E")
+    # drop the final E; DyckPath checks that P'' is a Dyck path
     n = nx * pf.a
-    return ParkingFunction(word[:-1], tuple(labels), n, n, multiset=True)
-
-
-def dinv_multiset(pf):
-    """Classical dinv on a possibly-multiset-labeled square-frame object."""
-    return dinv_classical(pf)
-
-
-_MAX_DINV_CACHE = {}
+    path = DyckPath("".join(word)[:-1], n, n)
+    return ParkingFunction._trusted(path, tuple(labels), multiset=True)
 
 
 def max_stretched_dinv(d: DyckPath):
     """m(D): maximum of dinv(P'') over all labelings of d."""
-    key = (d.word, d.a, d.b)
-    if key not in _MAX_DINV_CACHE:
-        best = 0
-        for pf in labelings_of(d):
-            best = max(best, dinv_classical(stretch_to_ppp(pf)))
-        _MAX_DINV_CACHE[key] = best
-    return _MAX_DINV_CACHE[key]
+    return max(dinv_classical(stretch_to_ppp(pf)) for pf in labelings_of(d))
 
 
 def d_stat(d: DyckPath):
@@ -339,11 +333,18 @@ def d_stat(d: DyckPath):
     return area(sweep(d))
 
 
+@lru_cache(maxsize=None)
+def _path_terms(d: DyckPath):
+    """(d(P), m(P)): the dinv terms that depend on the path alone."""
+    return d_stat(d), max_stretched_dinv(d)
+
+
 def dinv_rational(pf: ParkingFunction):
     """dinv(P) = dinv(P'') + d(P) - m(P); identically 0 when a = 1."""
     if pf.a == 1:
         return 0
-    d = pf.path
-    value = dinv_classical(stretch_to_ppp(pf)) + d_stat(d) - max_stretched_dinv(d)
-    assert 0 <= value <= d_stat(d)
+    d, m = _path_terms(pf.path)
+    value = dinv_classical(stretch_to_ppp(pf)) + d - m
+    if not 0 <= value <= d:
+        raise AssertionError(f"dinv {value} outside 0..{d} for {pf}")
     return value

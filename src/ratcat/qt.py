@@ -87,6 +87,9 @@ class LaurentQT:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as its coefficient, since it equals that number
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from math import comb, factorial, gcd
+from math import gcd
 
 from .frob import (
     basis_convert,
@@ -21,10 +21,9 @@ from .frob import (
     schroeder,
 )
 from .parking import (
+    _run_label_groups,
     area_prime,
-    d_stat,
     dinv_classical,
-    dinv_rational,
     enumerate_pf,
     labelings_of,
     zeta,
@@ -34,6 +33,7 @@ from .partitions import (
     enumerate_box,
     enumerate_triangle,
     frontier,
+    h_minus,
     h_plus,
     h_via_levels,
     lem3_check,
@@ -44,8 +44,6 @@ from .partitions import (
     size,
 )
 from .paths import (
-    DyckPath,
-    area,
     count_by_runs,
     count_dyck,
     enumerate_dyck,
@@ -58,7 +56,6 @@ from .paths import (
 from .qt import (
     LaurentQT,
     q_binomial,
-    q_binomial_boxcount,
     q_int,
     rational_q_catalan,
 )
@@ -106,7 +103,7 @@ def check_conj_rat_qcat(a, b):
     def run():
         target = rational_q_catalan(a, b)
         for tag, h in (("h+", lambda m: h_plus(m, a, b)),
-                       ("h-", lambda m: _h_minus(m, a, b))):
+                       ("h-", lambda m: h_minus(m, a, b))):
             total = LaurentQT.zero()
             for mu in enumerate_triangle(a, b):
                 total = total + LaurentQT.monomial(size(mu) + h(mu), 0)
@@ -118,12 +115,6 @@ def check_conj_rat_qcat(a, b):
     return _timed("conj_rat_qcat", {"a": a, "b": b}, run)
 
 
-def _h_minus(mu, a, b):
-    from .partitions import h_minus
-
-    return h_minus(mu, a, b)
-
-
 def check_conj_nonstd_qbin(a, b):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
@@ -131,7 +122,7 @@ def check_conj_nonstd_qbin(a, b):
     def run():
         target = q_binomial(a + b, a)
         for tag, h in (("h+", lambda m: h_plus(m, a, b)),
-                       ("h-", lambda m: _h_minus(m, a, b))):
+                       ("h-", lambda m: h_minus(m, a, b))):
             total = LaurentQT.zero()
             for mu in enumerate_box(a, b):
                 total = total + LaurentQT.monomial(
@@ -175,7 +166,7 @@ def check_lem_h_via_labels(a, b):
         for mu in enumerate_box(a, b):
             if h_plus(mu, a, b) != h_via_levels(mu, a, b, "+"):
                 return False, {"mu": list(mu), "sign": "+"}, None
-            if _h_minus(mu, a, b) != h_via_levels(mu, a, b, "-"):
+            if h_minus(mu, a, b) != h_via_levels(mu, a, b, "-"):
                 return False, {"mu": list(mu), "sign": "-"}, None
         return True, None, None
 
@@ -407,18 +398,8 @@ def _perm_of_cycle_type(lam):
 
 
 def _sorted_runs(word, labels):
-    out = []
-    it = iter(labels)
-    run = []
-    for step in word:
-        if step == "N":
-            run.append(next(it))
-        elif run:
-            out.extend(sorted(run))
-            run = []
-    if run:
-        out.extend(sorted(run))
-    return tuple(out)
+    """The labels re-sorted within each vertical run of word."""
+    return tuple(x for run in _run_label_groups(word, labels) for x in sorted(run))
 
 
 def check_qbin_recursion(n):

@@ -1,9 +1,13 @@
 """Command-line interface: dispatch, formats, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ratcat.cli
 from ratcat.cli import main
 
 
@@ -110,3 +114,28 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "catqt", "2", "3", "--out", str(target))
     assert code == 0
     assert target.read_text() == ". 1\n1 .\n"
+
+
+def test_threads_default_to_one(monkeypatch, capsys):
+    seen = {}
+
+    def fake_golden_tables(threads=None):
+        seen["threads"] = threads
+        return {}
+
+    monkeypatch.setattr(ratcat.cli, "golden_tables", fake_golden_tables)
+    assert main(["golden"]) == 0
+    assert seen == {"threads": 1}
+
+
+def test_closed_pipe_ends_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratcat.cli", "enumerate", "9", "14"],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().strip() == b"N" * 9 + b"E" * 14
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no Traceback, no "Exception ignored" either

@@ -1,9 +1,14 @@
 """Parking functions, reading words, zeta, and rational dinv."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratcat.parking as parking
 from ratcat.parking import (
     NotAParkingFunction,
     ParkingFunction,
@@ -33,6 +38,62 @@ def test_validation():
         ParkingFunction("NENEE", (1, 1), 2, 3)  # not a permutation
     with pytest.raises(ValueError):
         ParkingFunction("NNEEE", (2, 1), 2, 3)  # run not increasing
+    with pytest.raises(ValueError):
+        ParkingFunction("NENEE", (1, 2), 2, 4)  # word does not fit the frame
+    with pytest.raises(ValueError):
+        ParkingFunction("ENNEE", (1, 2), 2, 3)  # dips below the diagonal
+    with pytest.raises(ValueError):
+        ParkingFunction("NENEE", (1,), 2, 3)  # one label short
+    ParkingFunction("NNEEE", (2, 1), 2, 3, multiset=True)
+    assert ParkingFunction("NENEE", (1, 2), 2, 3).path == DyckPath("NENEE", 2, 3)
+
+
+TRUSTED_FRAMES = [(2, 3), (3, 5), (4, 5), (5, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("a,b", TRUSTED_FRAMES)
+def test_trusted_labelings_match_validated(a, b):
+    count = 0
+    for d in enumerate_dyck(a, b):
+        for pf in labelings_of(d):
+            checked = ParkingFunction(pf.word, pf.labels, pf.a, pf.b)
+            assert pf == checked
+            assert hash(pf) == hash(checked)
+            assert pf.path == checked.path == d
+            count += 1
+    assert count == ((a + 1) ** (a - 1) if a == b else b ** (a - 1))
+
+
+@pytest.mark.parametrize("a,b", [f for f in TRUSTED_FRAMES if f[0] != f[1]])
+def test_trusted_stretch_matches_validated(a, b):
+    for pf in enumerate_pf(a, b):
+        pp = stretch_to_ppp(pf)
+        n = pp.a
+        assert pp.path == DyckPath(pp.word, n, n)
+        assert pp == ParkingFunction(pp.word, pp.labels, n, n, multiset=True)
+
+
+def test_stretch_rejects_non_dyck_result(monkeypatch):
+    # a wrong Bezout pair stretches the path off the n x n frame
+    monkeypatch.setattr(parking, "bezout_xy", lambda a, b: (-1, 2))
+    with pytest.raises(ValueError):
+        stretch_to_ppp(ParkingFunction("NENEE", (1, 2), 2, 3))
+
+
+def test_dinv_range_check_survives_optimize():
+    # m(P) above d(P) forces dinv below 0; the check must raise under -O
+    code = (
+        "import ratcat.parking as p\n"
+        "p._path_terms = lambda d: (0, 99)\n"
+        "try:\n"
+        "    p.dinv_rational(p.ParkingFunction('NENEE', (1, 2), 2, 3))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
 
 
 def test_preference_vector_round_trip():

@@ -32,6 +32,13 @@ def test_zero_and_constants():
     assert LaurentQT.const(Fraction(4, 2)) == LaurentQT.const(2)
 
 
+def test_constants_hash_like_numbers():
+    assert len({LaurentQT.const(1), 1}) == 1
+    for c in (0, 1, -7, 2**70, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 3)):
+        assert LaurentQT.const(c) == c
+        assert hash(LaurentQT.const(c)) == hash(c)
+
+
 def test_terms_sorted_and_no_zeros():
     p = LaurentQT({(1, 0): 2, (0, 1): 3, (2, 2): 0})
     assert p.terms() == [(0, 1, 3), (1, 0, 2)]
