@@ -1,8 +1,11 @@
 """Command-line front end: compute, render, verify, and regenerate the
 checked-in golden tables.
 
+`verify` runs its checks one after another and writes one JSONL line per
+check as it finishes. `--threads` is accepted and ignored.
+
 Exit codes: 0 success, 1 verification failure or a closed output pipe,
-2 usage error, 3 computation contract violation.
+2 usage error, 3 computation contract violation or a crashed check.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 from .frob import (
@@ -45,37 +50,23 @@ def render_pf_blocks(series, style="plain"):
     return "\n\n".join(parts)
 
 
-def golden_tables(threads=1):
+def golden_tables():
     """Regenerate every golden table; returns {filename: text}.
 
     Each rational Catalan table is computed from both (a,b) and its
     transposed frame, which must agree.
     """
-    def one_cat(frame):
-        a, b = frame
+    tables = {}
+    for a, b in GOLDEN_CAT_FRAMES:
         text = matrix_of_poly(cat_qt(a, b)) + "\n"
-        twin = matrix_of_poly(cat_qt(b, a)) + "\n"
-        if text != twin:
+        if matrix_of_poly(cat_qt(b, a)) + "\n" != text:
             raise SweepContractError(
                 f"Cat tables for ({a},{b}) and ({b},{a}) differ"
             )
-        return f"cat_{a}_{b}.txt", text
-
-    def one_pf(frame):
-        a, b = frame
-        return f"pf_{a}_{b}.txt", render_pf_blocks(pf_qt(a, b)) + "\n"
-
-    tasks = [(one_cat, f) for f in GOLDEN_CAT_FRAMES] + [
-        (one_pf, f) for f in GOLDEN_PF_FRAMES
-    ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda t: t[0](t[1]), tasks))
-    else:
-        pairs = [fn(frame) for fn, frame in tasks]
-    return dict(pairs)
+        tables[f"cat_{a}_{b}.txt"] = text
+    for a, b in GOLDEN_PF_FRAMES:
+        tables[f"pf_{a}_{b}.txt"] = render_pf_blocks(pf_qt(a, b)) + "\n"
+    return tables
 
 
 def _emit(text, out):
@@ -99,7 +90,8 @@ def main(argv=None):
                     "and parking functions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int,
+                        help="accepted and ignored; checks run one at a time")
     common.add_argument("--format", choices=["json", "matrix", "tex"],
                         default="matrix")
     common.add_argument("--out", metavar="FILE")
@@ -148,13 +140,10 @@ def main(argv=None):
         # the reader is gone; devnull keeps the exit-time flush from failing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SweepContractError as exc:
+    except (SweepContractError, SchurPositivityError, AssertionError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 3
-    except SchurPositivityError as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -192,13 +181,19 @@ def _dispatch(args):
             print(f"unknown claim group {args.claim!r}; use 'all'",
                   file=sys.stderr)
             return 2
-        reports = run_sweep(limit=args.bound, threads=args.threads)
-        _emit(reports_to_jsonl(reports, include_seconds=args.timings),
-              args.out)
-        if any(not r.passed for r in reports):
-            return 1
+        code = 0
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+            for report in run_sweep(limit=args.bound):
+                out.write(reports_to_jsonl([report], args.timings) + "\n")
+                out.flush()
+                if report.error is not None:
+                    traceback.print_exception(report.error)
+                    code = 3
+                elif not report.passed:
+                    code = max(code, 1)
+        return code
     elif args.command == "golden":
-        tables = golden_tables(threads=args.threads)
+        tables = golden_tables()
         root = _golden_dir()
         bad = []
         for name in sorted(tables):

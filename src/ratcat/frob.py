@@ -17,7 +17,7 @@ from .parking import (
 )
 from .partitions import multiplicities, partitions_of, z_lambda
 from .paths import area, east_counts, enumerate_dyck, sweep
-from .qt import LaurentQT
+from .qt import LaurentQT, exact_quotient
 from .symfunc import (
     SymExpansion,
     VarPoly,
@@ -55,9 +55,7 @@ def frob_h(a, b):
         denom = factorial(b - ell)
         for m in multiplicities(lam).values():
             denom *= factorial(m)
-        c, r = divmod(factorial(b - 1), denom)
-        assert r == 0
-        out[lam] = c
+        out[lam] = exact_quotient(factorial(b - 1), denom)
     return SymExpansion.build(a, "h", out)
 
 
@@ -75,9 +73,7 @@ def frob_s(a, b):
     _require_coprime(a, b)
     out = {}
     for lam in partitions_of(a):
-        c, r = divmod(schur_principal_special(lam, b), b)
-        assert r == 0, (lam, a, b)
-        out[lam] = c
+        out[lam] = exact_quotient(schur_principal_special(lam, b), b)
     return SymExpansion.build(a, "s", out)
 
 
@@ -109,9 +105,7 @@ def schroeder(a, b, k):
     _require_coprime(a, b)
     if not 0 <= k <= a - 1:
         raise ValueError(f"k={k} outside 0..{a - 1}")
-    q, r = divmod(comb(a - 1, k) * comb(b + k, a), b)
-    assert r == 0
-    return q
+    return exact_quotient(comb(a - 1, k) * comb(b + k, a), b)
 
 
 # -- q,t series ------------------------------------------------------------

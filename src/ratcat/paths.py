@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
+from .qt import exact_quotient
+
 
 class SweepContractError(RuntimeError):
     """The sweep map produced a non-Dyck word; this would falsify a claimed
@@ -138,9 +140,7 @@ def count_by_runs(a, b, m):
     denom = 1
     for mi in m:
         denom *= factorial(mi)
-    q, r = divmod(factorial(b - 1), denom)
-    assert r == 0
-    return q
+    return exact_quotient(factorial(b - 1), denom)
 
 
 def cyclic_shift(word, k):

@@ -16,6 +16,15 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial quotient would leave a nonzero remainder."""
 
 
+def exact_quotient(num, den):
+    """num / den for integers that a closed formula says divide exactly;
+    any remainder raises AssertionError, also under python -O."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{num} is not divisible by {den}")
+    return q
+
+
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)

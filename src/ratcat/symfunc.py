@@ -21,7 +21,7 @@ from .partitions import (
     partitions_of,
     z_lambda,
 )
-from .qt import LaurentQT
+from .qt import LaurentQT, exact_quotient
 
 BASES = ("m", "h", "p", "s")
 
@@ -461,9 +461,7 @@ def hook_length_dim(lam):
     for i, p in enumerate(lam, start=1):
         for j in range(1, p + 1):
             denom *= (p - j) + (conj[j - 1] - i) + 1
-    q, r = divmod(factorial(n), denom)
-    assert r == 0
-    return q
+    return exact_quotient(factorial(n), denom)
 
 
 def cauchy_slices(n):

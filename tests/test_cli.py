@@ -8,7 +8,27 @@ from pathlib import Path
 import pytest
 
 import ratcat.cli
+import ratcat.verify
 from ratcat.cli import main
+from ratcat.verify import (
+    _timed,
+    check_conj_abpf,
+    check_conj_rat_qcat,
+    check_macmahon,
+    check_spec,
+    check_symmetry,
+    reports_to_jsonl,
+    run_sweep,
+)
+
+# a few cheap checks of different kinds, in place of the default sweep
+SMALL_TASKS = [
+    (check_conj_rat_qcat, (3, 5)),
+    (check_symmetry, (2, 3)),
+    (check_spec, (3, 5)),
+    (check_conj_abpf, (2, 3)),
+    (check_macmahon, (3,)),
+]
 
 
 def run(capsys, *argv):
@@ -95,8 +115,7 @@ def test_usage_error_exit_code():
 
 
 def test_verify_small(capsys):
-    code, out, _ = run(capsys, "verify", "all", "--range", "2",
-                       "--threads", "1")
+    code, out, _ = run(capsys, "verify", "all", "--range", "2")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert lines and all(l["passed"] for l in lines)
@@ -104,7 +123,7 @@ def test_verify_small(capsys):
 
 
 def test_golden_matches_corpus(capsys):
-    code, out, _ = run(capsys, "golden", "--threads", "1")
+    code, out, _ = run(capsys, "golden")
     assert code == 0
     assert "DIFF" not in out
 
@@ -116,16 +135,76 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == ". 1\n1 .\n"
 
 
-def test_threads_default_to_one(monkeypatch, capsys):
-    seen = {}
+def test_threads_flag_is_ignored(capsys):
+    plain = run(capsys, "enumerate", "3", "5")
+    assert run(capsys, "enumerate", "3", "5", "--threads", "2") == plain
+    assert plain[0] == 0
 
-    def fake_golden_tables(threads=None):
-        seen["threads"] = threads
-        return {}
 
-    monkeypatch.setattr(ratcat.cli, "golden_tables", fake_golden_tables)
-    assert main(["golden"]) == 0
-    assert seen == {"threads": 1}
+def _use_tasks(monkeypatch, tasks):
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+
+
+def test_verify_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
+    _use_tasks(monkeypatch, SMALL_TASKS)
+    code, out, _ = run(capsys, "verify")
+    target = tmp_path / "reports.jsonl"
+    assert main(["verify", "--out", str(target)]) == code == 0
+    assert target.read_bytes() == out.encode()
+    assert out == reports_to_jsonl(run_sweep()) + "\n"
+
+
+def test_verify_writes_each_line_before_the_next_check(monkeypatch, tmp_path):
+    target = tmp_path / "reports.jsonl"
+    written = []
+
+    def second(a, b):
+        written.append(target.read_text())
+        return check_symmetry(a, b)
+
+    _use_tasks(monkeypatch, [(check_symmetry, (2, 3)), (second, (3, 5))])
+    assert main(["verify", "--out", str(target)]) == 0
+    first_line = target.read_text().splitlines()[0]
+    assert written == [first_line + "\n"]
+
+
+def _failing(a, b):
+    return _timed("fails", {"a": a, "b": b}, lambda: (False, {"n": 1}, None))
+
+
+def _crashing(a, b):
+    return _timed("crashes", {"a": a, "b": b}, lambda: 1 // 0)
+
+
+@pytest.mark.parametrize("checkers, expect", [
+    ([_failing], 1),
+    ([_crashing, _failing], 3),
+])
+def test_crashed_check_keeps_the_sweep(monkeypatch, capsys, checkers, expect):
+    _use_tasks(monkeypatch, [(chk, (2, 3)) for chk in checkers] + SMALL_TASKS)
+    code, out, err = run(capsys, "verify")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == expect
+    assert len(lines) == len(checkers) + len(SMALL_TASKS)
+    assert all(line["passed"] for line in lines[len(checkers):])
+    if _crashing in checkers:
+        assert lines[0] == {
+            "claim": "crashes", "params": {"a": 2, "b": 3}, "passed": False,
+            "witness": {"exception": "ZeroDivisionError",
+                        "message": "integer division or modulo by zero"},
+        }
+        assert "ZeroDivisionError" in err
+    assert lines[len(checkers) - 1]["witness"] == {"n": 1}
+
+
+def test_assertion_error_is_a_contract_violation(monkeypatch, capsys):
+    def broken(a, b):
+        raise AssertionError("remainder left")
+
+    monkeypatch.setattr(ratcat.cli, "cat_qt", broken)
+    code, _, err = run(capsys, "catqt", "2", "3")
+    assert code == 3
+    assert "contract violation: remainder left" in err
 
 
 def test_closed_pipe_ends_quietly():

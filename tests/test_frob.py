@@ -1,6 +1,9 @@
 """Frobenius characteristics, q,t series, and matrix rendering."""
 
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +50,22 @@ def test_frob_routes_agree():
             assert basis_convert(frob_s(a, b), "m") == fm
             assert frob_via_genfunc(a, b) == fm
             assert dimension_check(a, b)
+
+
+def test_frob_s_divisibility_check_survives_optimize():
+    # s_lam(1^b) must be a multiple of b; the check must raise under -O
+    code = (
+        "import ratcat.frob as f\n"
+        "f.schur_principal_special = lambda lam, b: 1\n"
+        "try:\n"
+        "    f.frob_s(3, 5)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
 
 
 def test_frob_genfunc_single_car():
