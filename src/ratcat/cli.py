@@ -2,10 +2,13 @@
 checked-in golden tables.
 
 `verify` runs its checks one after another and writes one JSONL line per
-check as it finishes. `--threads` is accepted and ignored.
+check as it finishes; `verify <claim>` runs only that claim's checks.
+`--threads` is accepted and ignored.
 
 Exit codes: 0 success, 1 verification failure or a closed output pipe,
-2 usage error, 3 computation contract violation or a crashed check.
+2 bad user input (found before any computation starts), 3 computation
+contract violation (including a ValueError raised on valid input) or a
+crashed check.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 import sys
 import traceback
 from contextlib import nullcontext
+from math import gcd
 from pathlib import Path
 
 from .frob import (
@@ -29,11 +33,15 @@ from .frob import (
 )
 from .parking import from_preference_vector, zeta
 from .paths import DyckPath, SweepContractError, enumerate_dyck, sweep
-from .qt import rational_q_catalan
-from .verify import reports_to_jsonl, run_sweep
+from .qt import ExactDivisionError, rational_q_catalan
+from .verify import CLAIMS, reports_to_jsonl, run_sweep
 
 GOLDEN_CAT_FRAMES = [(2, 3), (3, 5), (3, 7), (4, 7), (5, 8)]
 GOLDEN_PF_FRAMES = [(2, 3), (2, 5), (3, 5), (4, 7), (5, 3), (5, 8), (7, 4)]
+
+
+class _UsageError(Exception):
+    """Bad user input, reported as exit 2."""
 
 
 def _golden_dir():
@@ -123,7 +131,8 @@ def main(argv=None):
     p.add_argument("prefs", type=int, nargs="+")
 
     p = add_parser("verify", help="run claim checkers")
-    p.add_argument("claim", nargs="?", default="all")
+    p.add_argument("claim", nargs="?", default="all",
+                   help="one claim name, or 'all' (the default)")
     p.add_argument("--range", type=int, default=10, dest="bound")
     p.add_argument("--timings", action="store_true")
 
@@ -140,16 +149,27 @@ def main(argv=None):
         # the reader is gone; devnull keeps the exit-time flush from failing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SweepContractError, SchurPositivityError, AssertionError) as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SweepContractError, SchurPositivityError, AssertionError,
+            ExactDivisionError, ValueError) as exc:
+        # the input passed _dispatch's checks, so the computation is at fault
+        print(f"contract violation: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args):
+    """Validate the user's input, then run the command. Every check on the
+    input raises _UsageError; what a computation raises is not the user's."""
     fmt = args.format
+    if hasattr(args, "a"):
+        if args.a <= 0 or args.b <= 0:
+            raise _UsageError(f"frame ({args.a},{args.b}) must be positive")
+        # enumerate lists the Dyck paths of any frame; every other command
+        # is defined for coprime frames only
+        if args.command != "enumerate" and gcd(args.a, args.b) != 1:
+            raise _UsageError(f"frame ({args.a},{args.b}) must be coprime")
     if args.command == "catqt":
         _emit(_poly_text(cat_qt(args.a, args.b), fmt), args.out)
     elif args.command == "qcat":
@@ -170,20 +190,26 @@ def _dispatch(args):
         _emit("\n".join(d.word for d in enumerate_dyck(args.a, args.b)),
               args.out)
     elif args.command == "sweep":
-        d = DyckPath(args.word, args.a, args.b)
+        try:
+            d = DyckPath(args.word, args.a, args.b)
+        except ValueError as exc:
+            raise _UsageError(exc) from None
         _emit(sweep(d).word, args.out)
     elif args.command == "zeta":
-        r = zeta(from_preference_vector(tuple(args.prefs)))
+        try:
+            pf = from_preference_vector(tuple(args.prefs))
+        except ValueError as exc:
+            raise _UsageError(exc) from None
+        r = zeta(pf)
         _emit(json.dumps({"word": r.word,
                           "diagonal_word": list(r.diagonal_word)}), args.out)
     elif args.command == "verify":
-        if args.claim != "all":
-            print(f"unknown claim group {args.claim!r}; use 'all'",
-                  file=sys.stderr)
-            return 2
+        if args.claim != "all" and args.claim not in CLAIMS:
+            raise _UsageError(f"unknown claim {args.claim!r}; valid claims: "
+                              + ", ".join(["all", *CLAIMS]))
         code = 0
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-            for report in run_sweep(limit=args.bound):
+            for report in run_sweep(limit=args.bound, claim=args.claim):
                 out.write(reports_to_jsonl([report], args.timings) + "\n")
                 out.flush()
                 if report.error is not None:

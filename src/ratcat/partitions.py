@@ -66,7 +66,7 @@ def partitions_of(n, max_part=None):
 def enumerate_box(s, r):
     """All partitions with at most s parts, each at most r."""
     def rec(rows_left, max_part, prefix):
-        yield normalize(prefix)
+        yield prefix  # weakly decreasing positive parts by construction
         if rows_left == 0:
             return
         for part in range(max_part, 0, -1):

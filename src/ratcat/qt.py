@@ -26,7 +26,9 @@ def exact_quotient(num, den):
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # an exact type test: isinstance would go through the numbers ABCs on
+    # every coefficient of every add, multiply and divide
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -280,27 +282,87 @@ ONE = LaurentQT.const(1)
 
 
 # -- q-analogues -----------------------------------------------------------
+#
+# The one-variable q-analogues are built densely: a polynomial in q is an int
+# list indexed by the exponent of q, with no trailing zeros. Each public
+# constructor converts to LaurentQT once, at the end.
+
+
+def _from_dense(coeffs):
+    out = LaurentQT.__new__(LaurentQT)
+    out._terms = {(e, 0): c for e, c in enumerate(coeffs) if c}
+    return out
+
+
+def _times_q_int(p, j):
+    """p * [j]_q for j >= 1: coefficient e is the window sum p[e-j+1..e]."""
+    out = []
+    window = 0
+    n = len(p)
+    for e in range(n + j - 1):
+        if e < n:
+            window += p[e]
+        if e >= j:
+            window -= p[e - j]
+        out.append(window)
+    return out
+
+
+def _dense_q_factorial(n):
+    """[n]!_q as a coefficient list."""
+    p = [1]
+    for j in range(2, n + 1):
+        p = _times_q_int(p, j)
+    return p
+
+
+def _dense_divide(num, den):
+    """Exact quotient num / den of coefficient lists, by long division from
+    the top degree; den must end in a nonzero coefficient. Any nonzero
+    remainder raises ExactDivisionError, explicitly, so the check also holds
+    under python -O."""
+    top = len(den) - 1
+    lead = den[top]
+    rem = list(num)
+    quot = [0] * max(len(num) - top, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + top], lead)
+        if r:
+            raise ExactDivisionError("nonzero remainder in a q-analogue quotient")
+        if c:
+            quot[i] = c
+            for j, d in enumerate(den):
+                rem[i + j] -= c * d
+    if any(rem[:top]):
+        raise ExactDivisionError("nonzero remainder in a q-analogue quotient")
+    return quot
+
+
+def _dense_q_binomial(n, k):
+    """[n]!_q / ([k]!_q [n-k]!_q) as a coefficient list."""
+    if not 0 <= k <= n:
+        raise ValueError(f"q_binomial requires 0 <= k <= n, got ({n}, {k})")
+    den = _dense_q_factorial(k)
+    for j in range(2, n - k + 1):
+        den = _times_q_int(den, j)  # [k]!_q [n-k]!_q
+    return _dense_divide(_dense_q_factorial(n), den)
+
 
 def q_int(n):
     """[n]_q = 1 + q + ... + q^(n-1); zero for n = 0."""
     if n < 0:
         raise ValueError("q_int requires n >= 0")
-    return LaurentQT({(i, 0): 1 for i in range(n)})
+    return _from_dense([1] * n)
 
 
 def q_factorial(n):
     """[n]!_q = [1]_q [2]_q ... [n]_q."""
-    result = ONE
-    for j in range(1, n + 1):
-        result = result * q_int(j)
-    return result
+    return _from_dense(_dense_q_factorial(n))
 
 
 def q_binomial(n, k):
     """Gaussian binomial [n]!_q / ([k]!_q [n-k]!_q), an exact quotient."""
-    if not 0 <= k <= n:
-        raise ValueError(f"q_binomial requires 0 <= k <= n, got ({n}, {k})")
-    return q_factorial(n).exact_divide(q_factorial(k) * q_factorial(n - k))
+    return _from_dense(_dense_q_binomial(n, k))
 
 
 def q_binomial_boxcount(s, r):
@@ -330,4 +392,4 @@ def rational_q_catalan(a, b):
         raise ValueError("a and b must be positive")
     if gcd(a, b) != 1:
         raise ValueError(f"rational_q_catalan requires gcd(a,b)=1, got ({a},{b})")
-    return q_binomial(a + b, a).exact_divide(q_int(a + b))
+    return _from_dense(_dense_divide(_dense_q_binomial(a + b, a), [1] * (a + b)))

@@ -499,11 +499,35 @@ def sweep_tasks(limit=10, pf_limit=(4, 9), extra_pf=((5, 8), (7, 4))):
     return tasks
 
 
-def run_sweep(limit=10, pf_limit=(4, 9), extra_pf=((5, 8), (7, 4))):
+# claim name (as in the reports) -> its checker
+CLAIMS = {
+    "conj_rat_qcat": check_conj_rat_qcat,
+    "conj_ratqt_symm": check_symmetry,
+    "conj_qtcat_spec": check_spec,
+    "conj_nonstd_qbin": check_conj_nonstd_qbin,
+    "thm_ratcat": check_thm_ratcat,
+    "lem_h_via_labels": check_lem_h_via_labels,
+    "lem_cyc_shift": check_lem_cyc_shift,
+    "conj_abpf": check_conj_abpf,
+    "thm_rational_frobenius": check_frobenius,
+    "sweep_injective": check_sweep_contract,
+    "macmahon_maj": check_macmahon,
+    "qbin_recursion": check_qbin_recursion,
+    "prop_multinomial": check_prop_multinomial,
+    "bizley_counts": check_bizley,
+    "dinv_eq_area_prime_zeta": check_dinv_zeta,
+    "fixed_points": check_fixed_points,
+}
+
+
+def run_sweep(limit=10, pf_limit=(4, 9), extra_pf=((5, 8), (7, 4)),
+              claim="all"):
     """Run the default sweep in task order, yielding each report as its
-    check finishes."""
+    check finishes; a claim name from CLAIMS keeps only that claim's tasks."""
+    only = None if claim == "all" else CLAIMS[claim]
     for chk, args in sweep_tasks(limit, pf_limit, extra_pf):
-        yield chk(*args)
+        if only is None or chk is only:
+            yield chk(*args)
 
 
 def reports_to_jsonl(reports, include_seconds=False):

@@ -10,6 +10,7 @@ import pytest
 import ratcat.cli
 import ratcat.verify
 from ratcat.cli import main
+from ratcat.qt import ExactDivisionError
 from ratcat.verify import (
     _timed,
     check_conj_abpf,
@@ -120,6 +121,47 @@ def test_verify_small(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert lines and all(l["passed"] for l in lines)
     assert all("seconds" not in l for l in lines)
+    # one named claim runs exactly its lines of the full sweep, in order
+    code, named, _ = run(capsys, "verify", "qbin_recursion", "--range", "2")
+    assert code == 0
+    assert named.splitlines() == [
+        text for text, l in zip(out.splitlines(), lines)
+        if l["claim"] == "qbin_recursion"
+    ]
+    assert len(named.splitlines()) == 19
+
+
+def test_verify_named_claim_with_timings(capsys):
+    code, out, _ = run(capsys, "verify", "macmahon_maj", "--timings")
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0
+    assert [l["params"]["n"] for l in lines] == [1, 2, 3, 4, 5, 6]
+    assert all(l["claim"] == "macmahon_maj" and "seconds" in l for l in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-1", "3"],  # ran into unbounded recursion before
+    ["qcat", "0", "3"],
+    ["pfqt", "4", "6"],
+    ["frob", "2", "4"],
+    ["sweep", "NNE", "3", "5"],
+    ["zeta", "3", "3", "3"],
+    ["verify", "no_such_claim"],
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    if argv[0] == "verify":
+        assert "valid claims: all, conj_rat_qcat," in err
+        assert "qbin_recursion" in err
+
+
+def test_enumerate_any_positive_frame(capsys):
+    code, out, _ = run(capsys, "enumerate", "2", "4")
+    assert code == 0
+    assert out.split() == ["NNEEEE", "NENEEE", "NEENEE"]
 
 
 def test_golden_matches_corpus(capsys):
@@ -205,6 +247,19 @@ def test_assertion_error_is_a_contract_violation(monkeypatch, capsys):
     code, _, err = run(capsys, "catqt", "2", "3")
     assert code == 3
     assert "contract violation: remainder left" in err
+
+
+@pytest.mark.parametrize("error", [ValueError, ExactDivisionError])
+def test_computation_error_on_valid_input_is_exit_3(monkeypatch, capsys,
+                                                      error):
+    # the input passed the checks, so the computation is at fault
+    def broken(a, b):
+        raise error("input not symmetric")
+
+    monkeypatch.setattr(ratcat.cli, "rational_q_catalan", broken)
+    code, _, err = run(capsys, "qcat", "2", "3")
+    assert code == 3
+    assert "contract violation: input not symmetric" in err
 
 
 def test_closed_pipe_ends_quietly():

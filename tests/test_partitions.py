@@ -66,6 +66,16 @@ def test_box_count():
             assert sum(1 for _ in enumerate_box(s, r)) == comb(s + r, s)
 
 
+def test_box_yields_normal_partitions():
+    # enumerate_box builds each partition weakly decreasing and positive,
+    # so it yields them without calling normalize
+    for s in range(7):
+        for r in range(7):
+            box = list(enumerate_box(s, r))
+            assert box == [normalize(mu) for mu in box]
+            assert len(set(box)) == len(box)
+
+
 def test_triangle_3_5():
     got = sorted(enumerate_triangle(3, 5))
     assert got == [(), (1,), (1, 1), (2,), (2, 1), (3,), (3, 1)]

@@ -1,6 +1,10 @@
 """Laurent polynomial ring and q-analogue constructors."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from ratcat.qt import (
     q_int,
     rational_q_catalan,
 )
+from ratcat.qt import _dense_divide
 
 exponents = st.integers(min_value=-4, max_value=4)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -120,9 +125,78 @@ def test_q_int_and_factorial():
 
 
 def test_q_binomial_against_box_count():
-    for s in range(9):
-        for r in range(9):
-            assert q_binomial(s + r, s) == q_binomial_boxcount(s, r)
+    for n in range(17):
+        for s in range(n + 1):
+            assert q_binomial(n, s) == q_binomial_boxcount(s, n - s)
+
+
+# The sparse route the dense q-analogues replaced: products of q_int through
+# LaurentQT.__mul__, quotients through LaurentQT.exact_divide.
+
+def _sparse_q_factorial(n):
+    result = ONE
+    for j in range(1, n + 1):
+        result = result * q_int(j)
+    return result
+
+
+def _int_coeffs(p):
+    return all(type(c) is int for _, _, c in p.terms())
+
+
+def test_dense_q_analogues_match_sparse_route():
+    fact = [_sparse_q_factorial(n) for n in range(25)]
+    for n in range(21):
+        assert q_factorial(n) == fact[n]
+        assert _int_coeffs(q_factorial(n))
+        for k in range(n + 1):
+            got = q_binomial(n, k)
+            assert got == fact[n].exact_divide(fact[k] * fact[n - k]), (n, k)
+            assert _int_coeffs(got)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            if gcd(a, b) == 1:
+                got = rational_q_catalan(a, b)
+                want = fact[a + b].exact_divide(fact[a] * fact[b]).exact_divide(
+                    q_int(a + b))
+                assert got == want, (a, b)
+                assert _int_coeffs(got)
+
+
+def test_dense_q_analogue_edge_cases():
+    assert q_int(0) == ZERO and q_int(0).terms() == []
+    assert q_factorial(0) == ONE
+    assert q_binomial(0, 0) == ONE
+    for n in range(6):
+        assert q_binomial(n, 0) == ONE == q_binomial(n, n)
+    assert q_binomial(5, 1) == q_int(5)
+    with pytest.raises(ValueError):
+        q_binomial(3, 4)
+
+
+def test_dense_divide_detects_remainder():
+    assert _dense_divide([1, 2, 2, 1], [1, 1]) == [1, 1, 1]
+    assert _dense_divide([], [1, 1]) == []
+    for num, den in (([1, 1, 1, 1], [1, 1, 1]),  # [4]_q / [3]_q
+                     ([3], [2]),                  # 3 / 2 leaves 1
+                     ([0, 3], [0, 2]),            # 3q / 2q leaves q
+                     ([1], [1, 1])):              # divisor of higher degree
+        with pytest.raises(ExactDivisionError):
+            _dense_divide(num, den)
+
+
+def test_dense_divide_check_survives_optimize():
+    code = (
+        "from ratcat.qt import ExactDivisionError, _dense_divide\n"
+        "try:\n"
+        "    _dense_divide([1, 1, 1, 1], [1, 1, 1])\n"
+        "except ExactDivisionError:\n"
+        "    print('raised')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
 
 
 def test_q_binomial_examples():

@@ -3,6 +3,7 @@
 import json
 
 from ratcat.verify import (
+    CLAIMS,
     CheckReport,
     check_bizley,
     check_conj_abpf,
@@ -72,6 +73,15 @@ def test_sweep_task_order_is_stable():
     t1 = [(fn.__name__, args) for fn, args in sweep_tasks(limit=4)]
     t2 = [(fn.__name__, args) for fn, args in sweep_tasks(limit=4)]
     assert t1 == t2
+
+
+def test_claim_registry_names_each_checker():
+    tasks = sweep_tasks(limit=2)
+    assert {chk for chk, _ in tasks} == set(CLAIMS.values())
+    assert len(CLAIMS) == len(set(CLAIMS.values()))
+    for name, chk in CLAIMS.items():
+        first = next(args for c, args in tasks if c is chk)
+        assert chk(*first).claim == name
 
 
 def test_small_sweep_rerun_determinism():
