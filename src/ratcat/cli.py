@@ -133,8 +133,19 @@ def main(argv=None):
     p = add_parser("verify", help="run claim checkers")
     p.add_argument("claim", nargs="?", default="all",
                    help="one claim name, or 'all' (the default)")
-    p.add_argument("--range", type=int, default=10, dest="bound")
-    p.add_argument("--timings", action="store_true")
+    p.add_argument(
+        "--range", type=int, default=10, dest="bound",
+        help="largest a and b (default 10) of conj_rat_qcat, "
+             "conj_nonstd_qbin, thm_ratcat, conj_ratqt_symm, conj_qtcat_spec "
+             "and sweep_injective; every other claim runs at fixed frames: "
+             "conj_abpf and thm_rational_frobenius at coprime a <= 4, b <= 9 "
+             "plus (5,8) and (7,4), lem_h_via_labels and lem_cyc_shift at "
+             "coprime a, b <= 8, qbin_recursion for n = 2..20, and the "
+             "counting and bijection claims at their own small frames")
+    p.add_argument("--timings", action="store_true",
+                   help="add each check's seconds and the process's peak "
+                        "RSS, and for the partition claims the number of "
+                        "box words")
 
     add_parser("golden", help="regenerate golden tables and diff "
                                   "against the checked-in corpus")

@@ -29,7 +29,11 @@ def length(mu):
 
 
 def conjugate(mu):
-    mu = normalize(mu)
+    return _conjugate(normalize(mu))
+
+
+def _conjugate(mu):
+    """conjugate() of a partition already in canonical form."""
     if not mu:
         return ()
     return tuple(sum(1 for p in mu if p >= j) for j in range(1, mu[0] + 1))
@@ -103,6 +107,11 @@ def frontier(mu, a, b):
     mu = normalize(mu)
     if not in_box(mu, a, b):
         raise ValueError(f"{mu} does not fit in the {a} x {b} box")
+    return _frontier(mu, a, b)
+
+
+def _frontier(mu, a, b):
+    """frontier() of a canonical partition known to fit in the a x b box."""
     padded = mu + (0,) * (a - len(mu))
     steps = []
     x = 0
@@ -148,29 +157,75 @@ def arm_leg(mu, cell):
 
 def h_plus(mu, a, b):
     """Cells with -a < a*arm - b*leg <= b."""
-    return _h_count(mu, a, b, plus=True)
+    return _h_pair(normalize(mu), a, b)[0]
 
 
 def h_minus(mu, a, b):
     """Cells with -a <= a*arm - b*leg < b."""
-    return _h_count(mu, a, b, plus=False)
+    return _h_pair(normalize(mu), a, b)[1]
 
 
-def _h_count(mu, a, b, plus):
-    mu = normalize(mu)
-    conj = conjugate(mu)
-    count = 0
+def _h_pair(mu, a, b):
+    """(h+, h-) of a canonical partition, counted cell by cell from the
+    arm/leg windows; the route independent of the frontier levels."""
+    conj = _conjugate(mu)
+    hp = hm = 0
     for i, p in enumerate(mu, start=1):
         for j in range(1, p + 1):
             v = a * (p - j) - b * (conj[j - 1] - i)
-            if (-a < v <= b) if plus else (-a <= v < b):
-                count += 1
-    return count
+            if -a < v <= b:
+                hp += 1
+            if -a <= v < b:
+                hm += 1
+    return hp, hm
+
+
+def _word_stats(word, a, b):
+    """(|mu|, ml, h+, h-) of the partition whose frontier is word, in one
+    pass over its steps.
+
+    |mu| sums the x-positions of the N steps and ml is the minimum level.
+    h+ counts pairs i < j with w_i = E, w_j = N, 1 <= l_{i-1} - l_{j-1} <= a+b;
+    h- counts pairs with 1 <= l_j - l_i <= a+b. Since l_j - l_i = a+b -
+    (l_{i-1} - l_{j-1}), both windows sit on e = l_{i-1} with l = l_{j-1}:
+    h+ takes l < e <= l+a+b and h- takes l <= e < l+a+b.
+    """
+    n = a + b
+    x = size = level = low = hp = hm = 0
+    easts = []  # l_{i-1} of each E step read so far
+    for step in word:
+        if step == "N":
+            size += x
+            top = level + n
+            for e in easts:
+                if level <= e <= top:
+                    if e != level:
+                        hp += 1
+                    if e != top:
+                        hm += 1
+            level += b
+        else:
+            easts.append(level)
+            x += 1
+            level -= a
+            if level < low:
+                low = level
+    return size, low, hp, hm
+
+
+def frame_stats(a, b):
+    """{frontier word: (mu, |mu|, ml, h+, h-)} for every partition in the
+    a x b box, in enumerate_box order; the triangle is where ml == 0."""
+    table = {}
+    for mu in enumerate_box(a, b):
+        w = _frontier(mu, a, b)
+        table[w] = (mu, *_word_stats(w, a, b))
+    return table
 
 
 def min_level(mu, a, b):
     """Minimum level on the frontier of mu; zero iff mu is in the triangle."""
-    return min(levels(frontier(mu, a, b), a, b))
+    return _word_stats(frontier(mu, a, b), a, b)[1]
 
 
 def h_via_levels(mu, a, b, sign):
@@ -181,20 +236,7 @@ def h_via_levels(mu, a, b, sign):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    w = frontier(mu, a, b)
-    lv = levels(w, a, b)
-    n = len(w)
-    count = 0
-    for i in range(1, n + 1):
-        if w[i - 1] != "E":
-            continue
-        for j in range(i + 1, n + 1):
-            if w[j - 1] != "N":
-                continue
-            diff = lv[i - 1] - lv[j - 1] if sign == "+" else lv[j] - lv[i]
-            if 1 <= diff <= a + b:
-                count += 1
-    return count
+    return _word_stats(frontier(mu, a, b), a, b)[2 if sign == "+" else 3]
 
 
 def cshift_partition(mu, a, b):
@@ -241,15 +283,21 @@ def lem3_check(mu0, a, b):
     mu0 = normalize(mu0)
     if not in_triangle(mu0, a, b):
         raise ValueError(f"{mu0} is not in the ({a},{b}) triangle")
-    members = orbit(mu0, a, b)
-    base = h_plus(mu0, a, b)
-    values = sorted(h_plus(m, a, b) for m in members)
-    if values != list(range(base, base + a + b)):
+
+    def stats(word):
+        mu = partition_of_frontier(word, a, b)
+        return min_level(mu, a, b), h_plus(mu, a, b)
+
+    return _orbit_indexing_holds(frontier(mu0, a, b), a, b, stats)
+
+
+def _orbit_indexing_holds(word0, a, b, stats):
+    """The check of lem3_check on the orbit of the triangle word word0, with
+    stats: frontier word -> (ml, h+) for the a+b cyclic shifts of word0."""
+    n = a + b
+    found = [stats(cyclic_shift(word0, k)) for k in range(n)]
+    base = found[0][1]
+    if sorted(h for _, h in found) != list(range(base, base + n)):
         return False
-    sorted_levels = sorted(levels(frontier(mu0, a, b), a, b)[: a + b])
-    for m in members:
-        ml = min_level(m, a, b)
-        k = sorted_levels.index(-ml)
-        if h_plus(m, a, b) - base != k:
-            return False
-    return True
+    sorted_levels = sorted(levels(word0, a, b)[:n])
+    return all(h - base == sorted_levels.index(-ml) for ml, h in found)

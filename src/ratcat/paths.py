@@ -55,7 +55,10 @@ def is_dyck(word, a, b):
 
 
 def enumerate_dyck(a, b):
-    """Yield every (a,b)-Dyck path once, in lex order of words with N < E."""
+    """Every (a,b)-Dyck path once, in lex order of words with N < E, as an
+    iterator; negative counts raise ValueError at the call."""
+    if a < 0 or b < 0:
+        raise ValueError(f"step counts must be nonnegative, got ({a},{b})")
     buf = []
 
     def rec(n_left, e_left, level):
@@ -71,7 +74,7 @@ def enumerate_dyck(a, b):
             yield from rec(n_left, e_left - 1, level - a)
             buf.pop()
 
-    yield from rec(a, b, 0)
+    return rec(a, b, 0)
 
 
 def count_dyck(a, b):

@@ -4,6 +4,7 @@ independently and returns a report with a witness on failure."""
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import dataclass, field
 from math import gcd
@@ -29,23 +30,17 @@ from .parking import (
     zeta,
 )
 from .partitions import (
-    cshift_partition,
-    enumerate_box,
-    enumerate_triangle,
-    frontier,
-    h_minus,
-    h_plus,
-    h_via_levels,
-    lem3_check,
+    _h_pair,
+    _orbit_indexing_holds,
+    frame_stats,
     length,
-    min_level,
     normalize,
     partitions_of,
-    size,
 )
 from .paths import (
     count_by_runs,
     count_dyck,
+    cyclic_shift,
     enumerate_dyck,
     enumerate_dyck_words,
     levels,
@@ -70,8 +65,12 @@ class CheckReport:
     seconds: float = 0.0
     details: dict = field(default_factory=dict)
     error: Exception | None = None  # what the checker raised; not serialised
+    peak_rss_kb: int = 0  # of this process, read when the check ended
+    counters: dict = field(default_factory=dict)  # objects the check enumerated
 
     def to_json(self, include_seconds=False):
+        """The report as a dict; include_seconds adds what varies from run
+        to run: the wall time, the peak RSS and the counters."""
         out = {
             "claim": self.claim,
             "params": self.params,
@@ -79,6 +78,9 @@ class CheckReport:
         }
         if include_seconds:
             out["seconds"] = round(self.seconds, 4)
+            out["peak_rss_kb"] = self.peak_rss_kb
+            if self.counters:
+                out["counters"] = self.counters
         if self.witness is not None:
             out["witness"] = self.witness
         if self.details:
@@ -86,111 +88,132 @@ class CheckReport:
         return out
 
 
-def _timed(claim, params, run):
+def _timed(claim, params, run, counters=None):
     """Run one check. A checker that raises gives a failed report whose
-    witness names the exception, so the rest of a sweep still runs."""
+    witness names the exception, so the rest of a sweep still runs.
+    counters is a dict that run fills in as it goes."""
+    counters = {} if counters is None else counters
     t0 = time.perf_counter()
     try:
         passed, witness, details = run()
     except Exception as exc:
         witness = {"exception": type(exc).__name__, "message": str(exc)}
-        return CheckReport(claim, params, False, witness,
-                           time.perf_counter() - t0, error=exc)
+        passed, details, error = False, None, exc
+    else:
+        error = None
     return CheckReport(
-        claim, params, passed, witness, time.perf_counter() - t0, details or {}
+        claim, params, passed, witness, time.perf_counter() - t0,
+        details or {}, error,
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, counters,
     )
 
 
 # -- partition-statistic claims --------------------------------------------
+#
+# Each checker reads one frame_stats table: {frontier word: (mu, |mu|, ml,
+# h+, h-)} in enumerate_box order, with the triangle where ml == 0.
+
+
+def _frame_table(a, b, counters):
+    table = frame_stats(a, b)
+    counters["box_words"] = len(table)
+    return table
+
+
+def _q_sum(exponents):
+    """Sum of q^e over the given exponents, as one LaurentQT."""
+    counts = {}
+    for e in exponents:
+        counts[e] = counts.get(e, 0) + 1
+    return LaurentQT({(e, 0): c for e, c in counts.items()})
 
 
 def check_conj_rat_qcat(a, b):
     """Triangle sum of q^(|mu| + h) equals the rational q-Catalan number,
     for both the h+ and h- statistics."""
+    counters = {}
 
     def run():
         target = rational_q_catalan(a, b)
-        for tag, h in (("h+", lambda m: h_plus(m, a, b)),
-                       ("h-", lambda m: h_minus(m, a, b))):
-            total = LaurentQT.zero()
-            for mu in enumerate_triangle(a, b):
-                total = total + LaurentQT.monomial(size(mu) + h(mu), 0)
+        tri = [s for s in _frame_table(a, b, counters).values() if s[2] == 0]
+        for tag, k in (("h+", 3), ("h-", 4)):  # k: where h sits in an entry
+            total = _q_sum(s[1] + s[k] for s in tri)
             if total != target:
                 return False, {"variant": tag, "sum": total.to_json(),
                                "target": target.to_json()}, None
         return True, None, None
 
-    return _timed("conj_rat_qcat", {"a": a, "b": b}, run)
+    return _timed("conj_rat_qcat", {"a": a, "b": b}, run, counters)
 
 
 def check_conj_nonstd_qbin(a, b):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
+    counters = {}
 
     def run():
         target = q_binomial(a + b, a)
-        for tag, h in (("h+", lambda m: h_plus(m, a, b)),
-                       ("h-", lambda m: h_minus(m, a, b))):
-            total = LaurentQT.zero()
-            for mu in enumerate_box(a, b):
-                total = total + LaurentQT.monomial(
-                    size(mu) + min_level(mu, a, b) + h(mu), 0
-                )
+        box = _frame_table(a, b, counters).values()
+        for tag, k in (("h+", 3), ("h-", 4)):  # k: where h sits in an entry
+            total = _q_sum(s[1] + s[2] + s[k] for s in box)
             if total != target:
                 return False, {"variant": tag, "sum": total.to_json(),
                                "target": target.to_json()}, None
         return True, None, None
 
-    return _timed("conj_nonstd_qbin", {"a": a, "b": b}, run)
+    return _timed("conj_nonstd_qbin", {"a": a, "b": b}, run, counters)
 
 
 def check_thm_ratcat(a, b):
     """Box sum factors as [a+b]_q times the triangle sum, and every orbit
     passes the fine shift-indexing check."""
+    counters = {}
 
     def run():
-        box = LaurentQT.zero()
-        for mu in enumerate_box(a, b):
-            box = box + LaurentQT.monomial(
-                size(mu) + min_level(mu, a, b) + h_plus(mu, a, b), 0
-            )
-        tri = LaurentQT.zero()
-        for mu0 in enumerate_triangle(a, b):
-            tri = tri + LaurentQT.monomial(size(mu0) + h_plus(mu0, a, b), 0)
+        table = _frame_table(a, b, counters)
+        triangle = {w: s for w, s in table.items() if s[2] == 0}
+        box = _q_sum(size + ml + hp for _, size, ml, hp, _ in table.values())
+        tri = _q_sum(size + hp for _, size, _, hp, _ in triangle.values())
         if box != q_int(a + b) * tri:
             return False, {"box": box.to_json(), "tri": tri.to_json()}, None
-        for mu0 in enumerate_triangle(a, b):
-            if not lem3_check(mu0, a, b):
+
+        def stats(word):
+            return table[word][2:4]  # (ml, h+)
+
+        for w, (mu0, *_) in triangle.items():
+            if not _orbit_indexing_holds(w, a, b, stats):
                 return False, {"orbit_rep": list(mu0)}, None
         return True, None, None
 
-    return _timed("thm_ratcat", {"a": a, "b": b}, run)
+    return _timed("thm_ratcat", {"a": a, "b": b}, run, counters)
 
 
 def check_lem_h_via_labels(a, b):
     """Arm/leg window counts match the frontier-level pair counts."""
+    counters = {}
 
     def run():
-        for mu in enumerate_box(a, b):
-            if h_plus(mu, a, b) != h_via_levels(mu, a, b, "+"):
+        for mu, _, _, hp, hm in _frame_table(a, b, counters).values():
+            arm_hp, arm_hm = _h_pair(mu, a, b)
+            if arm_hp != hp:
                 return False, {"mu": list(mu), "sign": "+"}, None
-            if h_minus(mu, a, b) != h_via_levels(mu, a, b, "-"):
+            if arm_hm != hm:
                 return False, {"mu": list(mu), "sign": "-"}, None
         return True, None, None
 
-    return _timed("lem_h_via_labels", {"a": a, "b": b}, run)
+    return _timed("lem_h_via_labels", {"a": a, "b": b}, run, counters)
 
 
 def check_lem_cyc_shift(a, b):
     """The h+ increment of one cyclic shift, via both stated formulas."""
+    counters = {}
 
     def run():
-        for mu in enumerate_box(a, b):
-            w = frontier(mu, a, b)
+        table = _frame_table(a, b, counters)
+        n = a + b
+        for w, (mu, _, _, hp, _) in table.items():
             lv = levels(w, a, b)
-            nu = cshift_partition(mu, a, b)
-            delta = h_plus(nu, a, b) - h_plus(mu, a, b)
-            n = a + b
+            delta = table[cyclic_shift(w, 1)][3] - hp
             if w[0] == "N":
                 f1 = sum(
                     1 for i in range(1, n + 1)
@@ -208,7 +231,7 @@ def check_lem_cyc_shift(a, b):
                                "pairs": f1, "levels": f2}, None
         return True, None, None
 
-    return _timed("lem_cyc_shift", {"a": a, "b": b}, run)
+    return _timed("lem_cyc_shift", {"a": a, "b": b}, run, counters)
 
 
 # -- q,t-Catalan claims ----------------------------------------------------
@@ -460,9 +483,15 @@ def _coprime_pairs(bound_a, bound_b=None):
 def sweep_tasks(limit=10, pf_limit=(4, 9), extra_pf=((5, 8), (7, 4))):
     """The default sweep as an ordered list of (checker, args) pairs.
 
-    Partition-statistic conjectures run over all coprime a,b <= limit;
-    pf-series checks over coprime a <= pf_limit[0], b <= pf_limit[1] plus
-    the frames in extra_pf.
+    limit bounds conj_nonstd_qbin (over all a, b <= limit), and
+    conj_rat_qcat, thm_ratcat, the two q,t-Catalan claims and
+    sweep_injective (over coprime a, b <= limit). The pf-series checks run
+    over coprime a <= pf_limit[0], b <= pf_limit[1] plus the frames in
+    extra_pf. The rest run at fixed frames whatever the limit:
+    lem_h_via_labels and lem_cyc_shift at coprime a, b <= 8, macmahon_maj
+    for n <= 6, qbin_recursion for n = 2..20, prop_multinomial and
+    bizley_counts at coprime a <= 5, b <= 9, dinv_eq_area_prime_zeta for
+    n <= 5 and fixed_points at coprime a <= 5, b <= 8.
     """
     tasks = []
     for a, b in _coprime_pairs(limit):

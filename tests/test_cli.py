@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,23 @@ def test_verify_named_claim_with_timings(capsys):
     assert code == 0
     assert [l["params"]["n"] for l in lines] == [1, 2, 3, 4, 5, 6]
     assert all(l["claim"] == "macmahon_maj" and "seconds" in l for l in lines)
+
+
+def test_verify_timings_add_rss_and_counters(capsys):
+    code, out, _ = run(capsys, "verify", "thm_ratcat", "--range", "3",
+                       "--timings")
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert code == 0
+    assert [(l["params"]["a"], l["params"]["b"]) for l in lines] == [
+        (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+    for l in lines:
+        a, b = l["params"]["a"], l["params"]["b"]
+        assert l["counters"] == {"box_words": comb(a + b, a)}
+        assert isinstance(l["peak_rss_kb"], int) and l["peak_rss_kb"] > 0
+    code, out, _ = run(capsys, "verify", "thm_ratcat", "--range", "3")
+    assert code == 0
+    assert len(out.splitlines()) == len(lines)
+    assert "peak_rss_kb" not in out and "counters" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratcat.partitions import (
+    _h_pair,
     arm_leg,
     conjugate,
     cshift_partition,
     enumerate_box,
     enumerate_triangle,
+    frame_stats,
     frontier,
     h_minus,
     h_plus,
@@ -26,6 +28,7 @@ from ratcat.partitions import (
     size,
     z_lambda,
 )
+from ratcat.paths import levels
 
 partition_st = st.lists(
     st.integers(0, 6), min_size=0, max_size=6
@@ -141,3 +144,69 @@ def test_lem3_fine_indexing():
     for a, b in [(2, 3), (3, 5), (5, 8)]:
         for mu0 in enumerate_triangle(a, b):
             assert lem3_check(mu0, a, b)
+
+
+# -- the routes frame_stats replaced, rebuilt as the reference --------------
+
+
+def _old_frontier(mu, a, b):
+    mu = normalize(mu)
+    padded = mu + (0,) * (a - len(mu))
+    steps = []
+    x = 0
+    for y in range(a):
+        target = padded[a - 1 - y]
+        steps.append("E" * (target - x))
+        steps.append("N")
+        x = target
+    steps.append("E" * (b - x))
+    return "".join(steps)
+
+
+def _old_h_via_levels(w, a, b, sign):
+    lv = levels(w, a, b)
+    n = len(w)
+    count = 0
+    for i in range(1, n + 1):
+        if w[i - 1] != "E":
+            continue
+        for j in range(i + 1, n + 1):
+            if w[j - 1] != "N":
+                continue
+            diff = lv[i - 1] - lv[j - 1] if sign == "+" else lv[j] - lv[i]
+            if 1 <= diff <= a + b:
+                count += 1
+    return count
+
+
+def test_frame_stats_matches_the_replaced_routes():
+    for a in range(1, 8):
+        for b in range(1, 8):
+            table = frame_stats(a, b)
+            box = list(enumerate_box(a, b))
+            assert list(table) == [_old_frontier(mu, a, b) for mu in box]
+            for w, mu in zip(table, box):
+                assert table[w] == (
+                    mu,
+                    sum(mu),
+                    min(levels(w, a, b)),
+                    _old_h_via_levels(w, a, b, "+"),
+                    _old_h_via_levels(w, a, b, "-"),
+                )
+                assert _h_pair(mu, a, b) == (h_plus(mu, a, b), h_minus(mu, a, b))
+            assert {s[0] for s in table.values() if s[2] == 0} == set(
+                enumerate_triangle(a, b)
+            )
+
+
+def test_level_wrappers_read_the_kernel():
+    table = frame_stats(4, 6)
+    for mu in enumerate_box(4, 6):
+        _, _, ml, hp, hm = table[frontier(mu, 4, 6)]
+        assert min_level(mu, 4, 6) == ml
+        assert h_via_levels(mu, 4, 6, "+") == hp
+        assert h_via_levels(mu, 4, 6, "-") == hm
+    with pytest.raises(ValueError):
+        h_via_levels((), 2, 3, "*")
+    with pytest.raises(ValueError):
+        min_level((4,), 2, 3)  # does not fit in the box

@@ -51,6 +51,15 @@ def test_enumeration_matches_count():
         assert len({d.word for d in got}) == len(got)
 
 
+def test_enumerate_dyck_rejects_negative_counts():
+    # a negative count used to recurse until RecursionError
+    for a, b in [(-1, 3), (3, -1), (-2, -2)]:
+        with pytest.raises(ValueError):
+            enumerate_dyck(a, b)
+    assert [d.word for d in enumerate_dyck(0, 3)] == ["EEE"]
+    assert [d.word for d in enumerate_dyck(0, 0)] == [""]
+
+
 def test_area_examples():
     assert area(DyckPath("NNENNEENEEEEE", 5, 8)) == 9
     assert area(DyckPath("NNENNEENEE", 5, 5)) == 5

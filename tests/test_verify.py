@@ -2,6 +2,9 @@
 
 import json
 
+import ratcat.verify
+from ratcat.partitions import frame_stats, frontier, partition_of_frontier
+from ratcat.paths import cyclic_shift
 from ratcat.verify import (
     CLAIMS,
     CheckReport,
@@ -89,3 +92,44 @@ def test_small_sweep_rerun_determinism():
     first = list(run_sweep(**kw))
     assert reports_to_jsonl(run_sweep(**kw)) == reports_to_jsonl(first)
     assert all(r.passed for r in first)
+
+
+PARTITION_CHECKERS = [
+    check_conj_rat_qcat,
+    check_conj_nonstd_qbin,
+    check_thm_ratcat,
+    check_lem_h_via_labels,
+    check_lem_cyc_shift,
+]
+
+
+def test_partition_checks_bite_on_a_changed_table(monkeypatch):
+    # raise h+ and h- of one triangle entry by one: every check must fail
+    mu = (2, 1)
+    word = frontier(mu, 3, 5)
+
+    def changed(a, b):
+        table = frame_stats(a, b)
+        nu, size, ml, hp, hm = table[word]
+        assert (nu, ml) == (mu, 0)
+        table[word] = (nu, size, ml, hp + 1, hm + 1)
+        return table
+
+    monkeypatch.setattr(ratcat.verify, "frame_stats", changed)
+    before = partition_of_frontier(cyclic_shift(word, -1), 3, 5)
+    for chk in PARTITION_CHECKERS:
+        report = chk(3, 5)
+        assert not report.passed, report.claim
+        assert report.error is None, report.claim
+        if chk in (check_lem_h_via_labels, check_lem_cyc_shift):
+            assert report.witness["mu"] in (list(mu), list(before))
+
+
+def test_timings_carry_rss_and_counters():
+    report = check_thm_ratcat(3, 5)
+    timed = report.to_json(include_seconds=True)
+    assert timed["counters"] == {"box_words": 56}
+    assert timed["peak_rss_kb"] > 0
+    plain = report.to_json()
+    assert "counters" not in plain and "peak_rss_kb" not in plain
+    assert "counters" not in check_spec(2, 3).to_json(include_seconds=True)
