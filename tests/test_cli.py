@@ -138,6 +138,8 @@ def test_verify_named_claim_with_timings(capsys):
     assert code == 0
     assert [l["params"]["n"] for l in lines] == [1, 2, 3, 4, 5, 6]
     assert all(l["claim"] == "macmahon_maj" and "seconds" in l for l in lines)
+    # every timed line has the peak RSS; only partition claims count words
+    assert all(l["peak_rss_kb"] > 0 and "counters" not in l for l in lines)
 
 
 def test_verify_timings_add_rss_and_counters(capsys):

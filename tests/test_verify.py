@@ -124,12 +124,3 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
         if chk in (check_lem_h_via_labels, check_lem_cyc_shift):
             assert report.witness["mu"] in (list(mu), list(before))
 
-
-def test_timings_carry_rss_and_counters():
-    report = check_thm_ratcat(3, 5)
-    timed = report.to_json(include_seconds=True)
-    assert timed["counters"] == {"box_words": 56}
-    assert timed["peak_rss_kb"] > 0
-    plain = report.to_json()
-    assert "counters" not in plain and "peak_rss_kb" not in plain
-    assert "counters" not in check_spec(2, 3).to_json(include_seconds=True)
