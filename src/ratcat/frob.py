@@ -22,7 +22,6 @@ from .symfunc import (
     SymExpansion,
     VarPoly,
     basis_convert,
-    expand_fundamental,
     h_poly,
     hook_length_dim,
     schur_principal_special,
@@ -136,8 +135,15 @@ def pf_qt(a, b, descending=False):
 
 def _shuffle_schur(a, b, reading_word, dinv, where):
     """Schur expansion of sum_P q^area t^dinv F_{a, IDes(reading word)} over
-    the (a,b) parking functions: the F_{a,S} are folded over the descent-set
-    histogram, converted m -> s, and checked to be Schur positive."""
+    the (a,b) parking functions, checked to be symmetric and Schur positive.
+
+    F_{a,S} = sum_{T >= S} M_T (Gessel), so the coefficient of M_T in the
+    series is the sum of the descent-set histogram over the subsets of T,
+    with S, T in {1..a-1} stored as bitmasks. M_T belongs to the composition
+    whose partial sums are T, and the series is symmetric iff compositions
+    that sort to the same partition lam carry the same coefficient, the
+    coefficient of m_lam.
+    """
     by_ides = {}
     for d in enumerate_dyck(a, b):
         ar = area(d)
@@ -145,10 +151,21 @@ def _shuffle_schur(a, b, reading_word, dinv, where):
             key = ides(reading_word(pf))
             w = LaurentQT.monomial(ar, dinv(pf))
             by_ides[key] = by_ides.get(key, LaurentQT.zero()) + w
-    acc = VarPoly(a)
+    by_mask = [LaurentQT.zero()] * (1 << (a - 1))
     for S, w in by_ides.items():
-        acc = acc + expand_fundamental(a, S, a) * w
-    result = basis_convert(varpoly_to_m(acc, a), "s")
+        by_mask[sum(1 << (j - 1) for j in S)] = w
+    for j in range(a - 1):
+        bit = 1 << j
+        for T in range(len(by_mask)):
+            if T & bit:
+                by_mask[T] = by_mask[T] + by_mask[T ^ bit]
+    in_m = {}
+    for T, c in enumerate(by_mask):
+        cuts = [0] + [j for j in range(1, a) if T >> (j - 1) & 1] + [a]
+        lam = tuple(sorted((y - x for x, y in zip(cuts, cuts[1:])), reverse=True))
+        if in_m.setdefault(lam, c) != c:
+            raise ValueError(f"series {where} is not symmetric at m_{lam}")
+    result = basis_convert(SymExpansion.build(a, "m", in_m), "s")
     for lam, c in result.coeffs:
         for _, _, coef in c.terms():
             if not isinstance(coef, int) or coef < 0:
@@ -156,17 +173,6 @@ def _shuffle_schur(a, b, reading_word, dinv, where):
                     f"coefficient of s_{lam} {where} contains {coef}"
                 )
     return result
-
-
-def hilb(a, b):
-    """Sum of q^area t^dinv over all (a,b) parking functions."""
-    _require_coprime(a, b)
-    total = LaurentQT.zero()
-    for d in enumerate_dyck(a, b):
-        ar = area(d)
-        for pf in labelings_of(d):
-            total = total + LaurentQT.monomial(ar, dinv_rational(pf))
-    return total
 
 
 def classical_shuffle_side(n):
@@ -193,12 +199,18 @@ def classical_cat_qt(n):
     return total
 
 
+def hilbert_series(series):
+    """<series, h_1^a> = sum_lam c_lam f^lam for a Schur expansion; for the
+    q,t-parking-function series it is sum_P q^area t^dinv."""
+    total = LaurentQT.zero()
+    for lam, c in series.coeffs:
+        total = total + c * hook_length_dim(lam)
+    return total
+
+
 def dimension_check(a, b):
     """Sum over lam of (s-coefficient at q=t=1) * f^lam must equal b^(a-1)."""
-    total = 0
-    for lam, c in pf_qt(a, b).coeffs:
-        total += c.evaluate() * hook_length_dim(lam)
-    return total == b ** (a - 1)
+    return hilbert_series(pf_qt(a, b)).evaluate() == b ** (a - 1)
 
 
 # -- matrix display --------------------------------------------------------

@@ -182,33 +182,6 @@ def p_poly(r, k):
     return VarPoly(k, terms)
 
 
-def expand_fundamental(n, S, k):
-    """Gessel fundamental F_{n,S} in k variables.
-
-    Sum of x_{i_1}...x_{i_n} over weakly increasing chains with a strict
-    increase at each position in S.
-    """
-    if k < n:
-        raise ValueError("need at least n variables for degree-n faithfulness")
-    S = frozenset(S)
-    if any(not 1 <= j <= n - 1 for j in S):
-        raise ValueError(f"descent set {sorted(S)} not inside 1..{n - 1}")
-    terms = {}
-
-    def rec(pos, lowest, ev):
-        if pos == n:
-            key = tuple(ev)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        for i in range(lowest, k):
-            ev[i] += 1
-            rec(pos + 1, i + 1 if pos + 1 in S else i, ev)
-            ev[i] -= 1
-
-    rec(0, 0, [0] * k)
-    return VarPoly(k, terms)
-
-
 def varpoly_to_m(poly: VarPoly, n):
     """Collect a symmetric VarPoly into the monomial basis at degree n.
 

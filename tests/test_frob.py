@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from ratcat.cli import GOLDEN_PF_FRAMES
 from ratcat.frob import (
     QTMatrix,
+    _shuffle_schur,
     cat_qt,
     classical_cat_qt,
     classical_shuffle_side,
@@ -17,15 +19,129 @@ from ratcat.frob import (
     frob_p,
     frob_s,
     frob_via_genfunc,
-    hilb,
+    hilbert_series,
     matrix_of_poly,
     pf_qt,
     render_matrix,
     schroeder,
     to_matrix,
 )
+from ratcat.parking import (
+    dinv_classical,
+    dinv_rational,
+    drw_classical,
+    drw_rational,
+    ides,
+    labelings_of,
+)
+from ratcat.paths import area, enumerate_dyck
 from ratcat.qt import LaurentQT, ONE, q_int
-from ratcat.symfunc import basis_convert, hall_inner, omega, single
+from ratcat.symfunc import (
+    VarPoly,
+    basis_convert,
+    h_poly,
+    hall_inner,
+    omega,
+    single,
+    varpoly_to_m,
+)
+
+
+# -- reference fold: each F_{n,S} expanded as a polynomial in n variables --
+
+
+def expand_fundamental(n, S, k):
+    """Gessel fundamental F_{n,S} in k variables.
+
+    Sum of x_{i_1}...x_{i_n} over weakly increasing chains with a strict
+    increase at each position in S.
+    """
+    if k < n:
+        raise ValueError("need at least n variables for degree-n faithfulness")
+    S = frozenset(S)
+    if any(not 1 <= j <= n - 1 for j in S):
+        raise ValueError(f"descent set {sorted(S)} not inside 1..{n - 1}")
+    terms = {}
+
+    def rec(pos, lowest, ev):
+        if pos == n:
+            key = tuple(ev)
+            terms[key] = terms.get(key, 0) + 1
+            return
+        for i in range(lowest, k):
+            ev[i] += 1
+            rec(pos + 1, i + 1 if pos + 1 in S else i, ev)
+            ev[i] -= 1
+
+    rec(0, 0, [0] * k)
+    return VarPoly(k, terms)
+
+
+def reference_shuffle_schur(a, b, reading_word, dinv):
+    by_ides = {}
+    for d in enumerate_dyck(a, b):
+        ar = area(d)
+        for pf in labelings_of(d):
+            key = ides(reading_word(pf))
+            w = LaurentQT.monomial(ar, dinv(pf))
+            by_ides[key] = by_ides.get(key, LaurentQT.zero()) + w
+    acc = VarPoly(a)
+    for S, w in by_ides.items():
+        acc = acc + expand_fundamental(a, S, a) * w
+    return basis_convert(varpoly_to_m(acc, a), "s")
+
+
+def direct_hilbert_series(a, b):
+    """Sum of q^area t^dinv over all (a,b) parking functions."""
+    total = LaurentQT.zero()
+    for d in enumerate_dyck(a, b):
+        ar = area(d)
+        for pf in labelings_of(d):
+            total = total + LaurentQT.monomial(ar, dinv_rational(pf))
+    return total
+
+
+def test_fundamental_small():
+    f = expand_fundamental(2, set(), 2)
+    assert f.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    g = expand_fundamental(2, {1}, 2)
+    assert g.terms == {(1, 1): 1}
+    with pytest.raises(ValueError):
+        expand_fundamental(3, set(), 2)  # too few variables
+
+
+def test_fundamental_no_descents_is_h():
+    for n in (1, 2, 3, 4):
+        assert expand_fundamental(n, set(), n).terms == h_poly(n, n).terms
+
+
+def test_fundamental_squarefree_coefficient():
+    for n in (2, 3, 4):
+        for bits in range(1 << (n - 1)):
+            S = {j for j in range(1, n) if bits >> (j - 1) & 1}
+            f = expand_fundamental(n, S, n)
+            assert f.coeff((1,) * n) == 1
+
+
+@pytest.mark.parametrize("a,b", GOLDEN_PF_FRAMES)
+def test_descent_set_fold_matches_reference(a, b):
+    for step in (1, -1):
+        want = reference_shuffle_schur(
+            a, b, lambda pf: drw_rational(pf)[::step], dinv_rational)
+        assert pf_qt(a, b, descending=step == -1) == want
+
+
+def test_descent_set_fold_matches_reference_classical():
+    for n in range(1, 6):
+        want = reference_shuffle_schur(n, n, drw_classical, dinv_classical)
+        assert classical_shuffle_side(n) == want
+
+
+def test_descent_set_fold_rejects_asymmetric_series():
+    # every reading word has IDes = {1}: the sum is a multiple of F_{3,{1}},
+    # whose M_(1,2) and M_(2,1) coefficients differ
+    with pytest.raises(ValueError, match="not symmetric"):
+        _shuffle_schur(3, 4, lambda pf: (2, 1, 3), dinv_rational, "in test")
 
 
 def test_frob_closed_forms_small():
@@ -130,16 +246,22 @@ def test_pf_qt_at_one_recovers_frobenius():
 
 
 def test_hilb():
-    assert hilb(2, 3) == ONE + LaurentQT.q() + LaurentQT.t()
+    assert hilbert_series(pf_qt(2, 3)) == ONE + LaurentQT.q() + LaurentQT.t()
     # q=t=1 gives the count of parking functions
     for a, b in [(3, 4), (4, 5)]:
-        assert hilb(a, b).evaluate() == b ** (a - 1)
+        assert hilbert_series(pf_qt(a, b)).evaluate() == b ** (a - 1)
 
 
 def test_hilb_specialization():
     for a, b in [(2, 3), (3, 5), (4, 7)]:
         shift = (a - 1) * (b - 1) // 2
-        assert hilb(a, b).specialize_t(-1, shift) == q_int(b) ** (a - 1)
+        hilb = hilbert_series(pf_qt(a, b))
+        assert hilb.specialize_t(-1, shift) == q_int(b) ** (a - 1)
+
+
+def test_hilbert_series_matches_direct_sum():
+    for a, b in [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7), (5, 3)]:
+        assert hilbert_series(pf_qt(a, b)) == direct_hilbert_series(a, b)
 
 
 def test_sign_coefficient_vs_cat_qt_reported():
@@ -156,6 +278,21 @@ def test_classical_shuffle_side():
         series = classical_shuffle_side(n)
         got = hall_inner(series, single(n, "s", (1,) * n))
         assert got == classical_cat_qt(n)
+
+
+def test_classical_case_is_frame_n_n_plus_1():
+    for n in (2, 3, 4):
+        want = classical_shuffle_side(n)
+        assert omega(pf_qt(n, n + 1)) == want
+        assert pf_qt(n, n + 1, descending=True) == want
+    for n in (2, 3, 4, 5):
+        assert cat_qt(n, n + 1) == classical_cat_qt(n)
+
+
+def test_trivial_coefficient_is_cat_qt():
+    # <PF_{a,b}, h_a> = Cat_{a,b}(q,t): the s_(a) coefficient
+    for a, b in [(2, 3), (3, 4), (3, 5), (4, 5), (5, 3), (4, 7)]:
+        assert pf_qt(a, b).coeff((a,)) == cat_qt(a, b)
 
 
 def test_to_matrix():

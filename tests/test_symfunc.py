@@ -12,7 +12,6 @@ from ratcat.symfunc import (
     SymExpansion,
     basis_convert,
     cauchy_slices,
-    expand_fundamental,
     h_poly,
     hall_inner,
     hook_length_dim,
@@ -23,28 +22,6 @@ from ratcat.symfunc import (
     single,
     varpoly_to_m,
 )
-
-
-def test_fundamental_small():
-    f = expand_fundamental(2, set(), 2)
-    assert f.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    g = expand_fundamental(2, {1}, 2)
-    assert g.terms == {(1, 1): 1}
-    with pytest.raises(ValueError):
-        expand_fundamental(3, set(), 2)  # too few variables
-
-
-def test_fundamental_no_descents_is_h():
-    for n in (1, 2, 3, 4):
-        assert expand_fundamental(n, set(), n).terms == h_poly(n, n).terms
-
-
-def test_fundamental_squarefree_coefficient():
-    for n in (2, 3, 4):
-        for bits in range(1 << (n - 1)):
-            S = {j for j in range(1, n) if bits >> (j - 1) & 1}
-            f = expand_fundamental(n, S, n)
-            assert f.coeff((1,) * n) == 1
 
 
 def test_varpoly_to_m():
