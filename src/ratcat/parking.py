@@ -2,11 +2,17 @@
 
 A parking function is a Dyck path plus north-step labels listed bottom to
 top, strictly increasing within each vertical run. Classical objects live in
-an n x n frame; rational objects in a coprime (a,b) frame. The stretched
-object P'' used by the rational dinv statistic carries multiset labels and is
-exempt from the permutation check. The public constructor validates; objects
-derived from validated ones (the labelings of a path, the stretch P'') are
-built by a trusted constructor that skips the checks.
+an n x n frame; rational objects in a coprime (a,b) frame. The public
+constructor validates; objects derived from validated ones (the labelings of
+a path, the stretch P'') are built by a trusted constructor that skips the
+checks.
+
+Rational dinv is read off the levels at the feet of the north steps, as
+tdinv(P) - maxtdinv(D) + d(P) (Armstrong-Loehr-Warrington, section 5); the
+path's part of it and the reading order are computed once per path. The
+Bezout stretch P'', a classical parking function with multiset labels
+(exempt from the permutation check), is the independent reference route:
+dinv(P'') + d(P) - m(D) gives the same value.
 """
 
 from __future__ import annotations
@@ -175,15 +181,9 @@ def drw_classical(pf):
 
 def drw_rational(pf):
     """Labels of north steps read by increasing level of bottom endpoints."""
-    lv = levels(pf.word, pf.a, pf.b)
-    tagged = []
-    row = 0
-    for i, step in enumerate(pf.word):
-        if step == "N":
-            tagged.append((lv[i], pf.labels[row]))
-            row += 1
-    tagged.sort()
-    return tuple(label for _, label in tagged)
+    order = _path_terms(pf.path)[3]
+    labels = pf.labels
+    return tuple(labels[i] for i in order)
 
 
 def ides(word):
@@ -281,7 +281,7 @@ def area_prime(r: RootNotationPF):
     return total
 
 
-# -- rational dinv via the Bezout stretch ----------------------------------
+# -- rational dinv: the Bezout stretch (reference) and the path levels ----
 
 
 def bezout_xy(a, b):
@@ -333,18 +333,43 @@ def d_stat(d: DyckPath):
     return area(sweep(d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _path_terms(d: DyckPath):
-    """(d(P), m(P)): the dinv terms that depend on the path alone."""
-    return d_stat(d), max_stretched_dinv(d)
+    """(d(P), maxtdinv(D), window pairs, reading order): what dinv and the
+    reading word need of the path alone.
+
+    L_i is the level at the foot of the i-th north step, bottom to top; the
+    window pairs are the (i, j) with L_i < L_j < L_i + b, and maxtdinv(D)
+    is their number: labels taken in level order put every pair in order,
+    and that labeling fits d because the north steps of one run sit exactly
+    b apart, outside each other's window. The reading order lists the north
+    steps by increasing foot level.
+
+    One entry is kept: labelings_of yields the parking functions of a path
+    one after another, so a frame computes each path once, and the cache
+    does not grow with the frames a process visits.
+    """
+    lv = levels(d.word, d.a, d.b)
+    feet = [lv[i] for i, step in enumerate(d.word) if step == "N"]
+    pairs = tuple((i, j) for i, li in enumerate(feet)
+                  for j, lj in enumerate(feet) if li < lj < li + d.b)
+    order = tuple(sorted(range(len(feet)), key=feet.__getitem__))
+    return d_stat(d), len(pairs), pairs, order
 
 
 def dinv_rational(pf: ParkingFunction):
-    """dinv(P) = dinv(P'') + d(P) - m(P); identically 0 when a = 1."""
+    """dinv(P) = tdinv(P) - maxtdinv(D) + d(P); identically 0 when a = 1.
+
+    tdinv(P) counts the window pairs (i, j) of the path whose labels
+    increase, p_i < p_j (Armstrong-Loehr-Warrington, section 5). It equals
+    dinv(P'') + d(P) - m(D) of the Bezout stretch, the route kept in
+    stretch_to_ppp and max_stretched_dinv.
+    """
     if pf.a == 1:
         return 0
-    d, m = _path_terms(pf.path)
-    value = dinv_classical(stretch_to_ppp(pf)) + d - m
+    d, m, pairs, _ = _path_terms(pf.path)
+    labels = pf.labels
+    value = sum(1 for i, j in pairs if labels[i] < labels[j]) - m + d
     if not 0 <= value <= d:
         raise AssertionError(f"dinv {value} outside 0..{d} for {pf}")
     return value

@@ -31,6 +31,7 @@ from .parking import (
 from .partitions import (
     _h_pair,
     _orbit_indexing_holds,
+    _word_stats,
     frame_stats,
     length,
     normalize,
@@ -109,8 +110,10 @@ def _timed(claim, params, run, counters=None):
 
 # -- partition-statistic claims --------------------------------------------
 #
-# Each checker reads one frame_stats table: {frontier word: (mu, |mu|, ml,
-# h+, h-)} in enumerate_box order, with the triangle where ml == 0.
+# Each checker but conj_rat_qcat reads one frame_stats table: {frontier
+# word: (mu, |mu|, ml, h+, h-)} in enumerate_box order, with the triangle
+# where ml == 0. conj_rat_qcat needs only the triangle and walks the Dyck
+# words instead.
 
 
 def _frame_table(a, b, counters):
@@ -129,14 +132,26 @@ def _q_sum(exponents):
 
 def check_conj_rat_qcat(a, b):
     """Triangle sum of q^(|mu| + h) equals the rational q-Catalan number,
-    for both the h+ and h- statistics."""
+    for both the h+ and h- statistics. The triangle's frontier words are
+    the (a,b)-Dyck words, so it walks those and leaves the rest of the box
+    alone."""
     counters = {}
 
     def run():
         target = rational_q_catalan(a, b)
-        tri = [s for s in _frame_table(a, b, counters).values() if s[2] == 0]
-        for tag, k in (("h+", 3), ("h-", 4)):  # k: where h sits in an entry
-            total = _q_sum(s[1] + s[k] for s in tri)
+        tri = []
+        for d in enumerate_dyck(a, b):
+            stats = _word_stats(d.word, a, b)  # (|mu|, ml, h+, h-)
+            if stats[1] != 0:
+                raise AssertionError(f"Dyck word {d.word} has ml {stats[1]}")
+            tri.append(stats)
+        counters["dyck_words"] = len(tri)
+        if not len(tri) == count_dyck(a, b) == target.evaluate():
+            raise AssertionError(
+                f"walked {len(tri)} Dyck words, count_dyck gives "
+                f"{count_dyck(a, b)}, Cat_{{a,b}}(1) is {target.evaluate()}")
+        for tag, k in (("h+", 2), ("h-", 3)):  # k: where h sits in stats
+            total = _q_sum(s[0] + s[k] for s in tri)
             if total != target:
                 return False, {"variant": tag, "sum": total.to_json(),
                                "target": target.to_json()}, None

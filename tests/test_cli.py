@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,16 @@ def test_pfqt_json(capsys):
     assert code == 0
     assert data["basis"] == "s"
     assert [[2], [[0, 1, "1"], [1, 0, "1"]]] in data["terms"]
+
+
+def test_pfqt_7_5_json_is_pinned(capsys):
+    # the Schur expansion of the (7,5) series (15 625 parking functions),
+    # pinned byte for byte to the output computed with dinv through the
+    # Bezout stretch
+    code, out, _ = run(capsys, "pfqt", "7", "5", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "275b32a79814be593190ab210498b372ec08bfc6141831415779459d32f42020")
 
 
 def test_qcat(capsys):

@@ -29,7 +29,7 @@ from ratcat.parking import (
     to_preference_vector,
     zeta,
 )
-from ratcat.paths import DyckPath, enumerate_dyck
+from ratcat.paths import DyckPath, enumerate_dyck, levels
 
 
 def test_validation():
@@ -81,10 +81,11 @@ def test_stretch_rejects_non_dyck_result(monkeypatch):
 
 
 def test_dinv_range_check_survives_optimize():
-    # m(P) above d(P) forces dinv below 0; the check must raise under -O
+    # maxtdinv above d(P) with no window pair forces dinv below 0; the
+    # check must raise under -O
     code = (
         "import ratcat.parking as p\n"
-        "p._path_terms = lambda d: (0, 99)\n"
+        "p._path_terms = lambda d: (0, 99, (), (0, 1))\n"
         "try:\n"
         "    p.dinv_rational(p.ParkingFunction('NENEE', (1, 2), 2, 3))\n"
         "except AssertionError:\n"
@@ -209,3 +210,88 @@ def test_a_equals_one_convention():
 def test_json_round_trip():
     P = ParkingFunction("NENEE", (2, 1), 2, 3)
     assert ParkingFunction.from_json(P.to_json()) == P
+
+
+# -- the level route against the stretch -----------------------------------
+
+# every parking function of these frames, both orientations where the
+# stretch route is cheap enough
+DIFF_FRAMES = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (5, 3),
+               (4, 5), (5, 4), (5, 6), (6, 5), (3, 7), (7, 3), (4, 7), (7, 4),
+               (5, 8)]
+
+
+def stretch_dinv(pf, d, m):
+    """dinv through the Bezout stretch, given d(P) and m(D) of its path."""
+    return dinv_classical(stretch_to_ppp(pf)) + d - m
+
+
+def tdinv(pf, width):
+    """Label-increasing pairs of north steps with L_i < L_j < L_i + width,
+    L being the level at the foot of each north step."""
+    lv = levels(pf.word, pf.a, pf.b)
+    feet = [(lv[i], label) for i, label in
+            zip((i for i, step in enumerate(pf.word) if step == "N"), pf.labels)]
+    return sum(1 for li, pi in feet for lj, pj in feet
+               if li < lj < li + width and pi < pj)
+
+
+def drw_by_sorting(pf):
+    """The reading word as drw_rational read it before the per-path order:
+    (level, label) pairs of the north steps, sorted."""
+    lv = levels(pf.word, pf.a, pf.b)
+    tagged = []
+    row = 0
+    for i, step in enumerate(pf.word):
+        if step == "N":
+            tagged.append((lv[i], pf.labels[row]))
+            row += 1
+    tagged.sort()
+    return tuple(label for _, label in tagged)
+
+
+@pytest.mark.parametrize("a,b", DIFF_FRAMES)
+def test_dinv_levels_match_stretch(a, b):
+    count = 0
+    for d in enumerate_dyck(a, b):
+        ds, m = d_stat(d), max_stretched_dinv(d)
+        for pf in labelings_of(d):
+            assert dinv_rational(pf) == stretch_dinv(pf, ds, m), pf
+            count += 1
+    assert count == b ** (a - 1)
+
+
+@pytest.mark.parametrize("a,b", DIFF_FRAMES)
+def test_drw_per_path_order_matches_sorting(a, b):
+    for pf in enumerate_pf(a, b):
+        assert drw_rational(pf) == drw_by_sorting(pf), pf
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (3, 4), (4, 3), (3, 5),
+                                 (5, 3), (4, 5), (5, 4), (4, 7), (7, 4)])
+def test_maxtdinv_closed_form_is_the_max_over_labelings(a, b):
+    for d in enumerate_dyck(a, b):
+        brute = max(tdinv(pf, b) for pf in labelings_of(d))
+        assert parking._path_terms(d)[1] == brute, d
+
+
+def test_window_of_a_fails():
+    # the window must be b: with a in its place the route leaves the stretch
+    a, b = 3, 5
+    mismatches = 0
+    for d in enumerate_dyck(a, b):
+        ds, m = d_stat(d), max_stretched_dinv(d)
+        pfs = list(labelings_of(d))
+        top = max(tdinv(pf, a) for pf in pfs)
+        for pf in pfs:
+            assert tdinv(pf, b) - parking._path_terms(d)[1] + ds == \
+                stretch_dinv(pf, ds, m)
+            if tdinv(pf, a) - top + ds != stretch_dinv(pf, ds, m):
+                mismatches += 1
+    assert mismatches > 0
+
+
+def test_non_coprime_frame_raises():
+    pf = ParkingFunction("NENENE", (1, 2, 3), 3, 3)
+    with pytest.raises(ValueError):
+        dinv_rational(pf)

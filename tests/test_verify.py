@@ -3,8 +3,13 @@
 import json
 
 import ratcat.verify
-from ratcat.partitions import frame_stats, frontier, partition_of_frontier
-from ratcat.paths import cyclic_shift
+from ratcat.partitions import (
+    _word_stats,
+    frame_stats,
+    frontier,
+    partition_of_frontier,
+)
+from ratcat.paths import count_dyck, cyclic_shift, enumerate_dyck
 from ratcat.verify import (
     CLAIMS,
     CheckReport,
@@ -115,7 +120,12 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
         table[word] = (nu, size, ml, hp + 1, hm + 1)
         return table
 
+    def changed_stats(w, a, b):  # the same change, for the Dyck-word walk
+        size, ml, hp, hm = _word_stats(w, a, b)
+        return (size, ml, hp + 1, hm + 1) if w == word else (size, ml, hp, hm)
+
     monkeypatch.setattr(ratcat.verify, "frame_stats", changed)
+    monkeypatch.setattr(ratcat.verify, "_word_stats", changed_stats)
     before = partition_of_frontier(cyclic_shift(word, -1), 3, 5)
     for chk in PARTITION_CHECKERS:
         report = chk(3, 5)
@@ -124,3 +134,37 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
         if chk in (check_lem_h_via_labels, check_lem_cyc_shift):
             assert report.witness["mu"] in (list(mu), list(before))
 
+
+def test_triangle_frontier_words_are_the_dyck_words():
+    # conj_rat_qcat walks the Dyck words in place of the box table's triangle
+    for a, b in [(3, 5), (5, 3), (4, 7), (6, 6), (4, 6)]:
+        triangle = {w: s[1:] for w, s in frame_stats(a, b).items() if s[2] == 0}
+        walked = {d.word: _word_stats(d.word, a, b) for d in enumerate_dyck(a, b)}
+        assert walked == triangle, (a, b)
+
+
+def test_conj_rat_qcat_counts_dyck_words():
+    for a, b in [(1, 7), (3, 5), (5, 3), (4, 7)]:
+        report = check_conj_rat_qcat(a, b)
+        assert report.passed
+        assert report.counters == {"dyck_words": count_dyck(a, b)}
+
+
+def test_conj_rat_qcat_raises_on_a_word_below_the_diagonal(monkeypatch):
+    def dipping(w, a, b):
+        size, _, hp, hm = _word_stats(w, a, b)
+        return size, -1, hp, hm
+
+    monkeypatch.setattr(ratcat.verify, "_word_stats", dipping)
+    report = check_conj_rat_qcat(3, 5)
+    assert not report.passed
+    assert report.witness["exception"] == "AssertionError"
+    assert "ml -1" in report.witness["message"]
+
+
+def test_conj_rat_qcat_raises_on_a_short_walk(monkeypatch):
+    monkeypatch.setattr(ratcat.verify, "count_dyck", lambda a, b: 8)
+    report = check_conj_rat_qcat(3, 5)
+    assert not report.passed
+    assert report.witness["exception"] == "AssertionError"
+    assert "walked 7 Dyck words" in report.witness["message"]
