@@ -144,8 +144,10 @@ def main(argv=None):
              "counting and bijection claims at their own small frames")
     p.add_argument("--timings", action="store_true",
                    help="add each check's seconds and the process's peak "
-                        "RSS, and for the partition claims the number of "
-                        "box words")
+                        "RSS, and the objects a check enumerated: box or "
+                        "Dyck words for the partition claims, Dyck paths "
+                        "for sweep_injective and prop_multinomial, parking "
+                        "functions for fixed_points")
 
     add_parser("golden", help="regenerate golden tables and diff "
                                   "against the checked-in corpus")

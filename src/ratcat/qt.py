@@ -285,7 +285,8 @@ ONE = LaurentQT.const(1)
 #
 # The one-variable q-analogues are built densely: a polynomial in q is an int
 # list indexed by the exponent of q, with no trailing zeros. Each public
-# constructor converts to LaurentQT once, at the end.
+# constructor converts to LaurentQT once, at the end. The q-binomial is built
+# by exact divisions by [j]_q and never forms a q-factorial.
 
 
 def _from_dense(coeffs):
@@ -339,13 +340,16 @@ def _dense_divide(num, den):
 
 
 def _dense_q_binomial(n, k):
-    """[n]!_q / ([k]!_q [n-k]!_q) as a coefficient list."""
+    """[n]!_q / ([k]!_q [n-k]!_q) as a coefficient list, built as the product
+    over j = 1..k of [n-k+j]_q / [j]_q. The partial product after step j is
+    the q-binomial [n-k+j, j], a polynomial, so every division is exact."""
     if not 0 <= k <= n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got ({n}, {k})")
-    den = _dense_q_factorial(k)
-    for j in range(2, n - k + 1):
-        den = _times_q_int(den, j)  # [k]!_q [n-k]!_q
-    return _dense_divide(_dense_q_factorial(n), den)
+    k = min(k, n - k)  # [n, k] = [n, n-k]; fewer steps
+    p = [1]
+    for j in range(1, k + 1):
+        p = _dense_divide(_times_q_int(p, n - k + j), [1] * j)
+    return p
 
 
 def q_int(n):
@@ -361,7 +365,8 @@ def q_factorial(n):
 
 
 def q_binomial(n, k):
-    """Gaussian binomial [n]!_q / ([k]!_q [n-k]!_q), an exact quotient."""
+    """Gaussian binomial [n]!_q / ([k]!_q [n-k]!_q), built by exact
+    divisions by [j]_q."""
     return _from_dense(_dense_q_binomial(n, k))
 
 
@@ -369,7 +374,7 @@ def q_binomial_boxcount(s, r):
     """Sum of q^|mu| over partitions mu fitting in an s x r box.
 
     Enumerates the box directly, so it is an independent route from the
-    q-factorial quotient in q_binomial.
+    exact quotients in q_binomial.
     """
     if s < 0 or r < 0:
         raise ValueError("box dimensions must be nonnegative")

@@ -3,7 +3,9 @@
 Everything homogeneous of degree n is expanded in exactly n variables, which
 is faithful since no partition of n has more than n parts. The monomial basis
 is the hub: h and p reach it by expanding products of one-row pieces, s by
-Kostka numbers, and the reverse direction peels triangular systems.
+Kostka numbers, and the reverse direction peels triangular systems. Those
+explicit products (VarPoly) multiply on exponent vectors packed into ints,
+so a monomial product is one int addition.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .partitions import (
     conjugate,
@@ -109,8 +112,11 @@ def single(degree, basis, mu, coeff=1):
 class VarPoly:
     """Homogeneous polynomial in k variables: exponent vector -> coefficient.
 
-    Coefficients may be ints, Fractions, or LaurentQT; zero entries are never
-    stored.
+    terms maps exponent tuples (nonnegative ints) to coefficients, which may
+    be ints, Fractions, or LaurentQT; zero entries are never stored. A
+    product packs each operand's exponent vectors into ints once, in a base
+    larger than any exponent the product can reach, so that multiplying two
+    monomials is one int addition with no carry between variables.
     """
 
     __slots__ = ("k", "terms")
@@ -122,6 +128,8 @@ class VarPoly:
             for ev, c in terms.items():
                 if len(ev) != k:
                     raise ValueError(f"exponent vector {ev} has wrong length")
+                if min(ev, default=0) < 0:
+                    raise ValueError(f"exponent vector {ev} has a negative entry")
                 if c:
                     self.terms[ev] = c
 
@@ -129,17 +137,34 @@ class VarPoly:
         if isinstance(other, VarPoly):
             if other.k != self.k:
                 raise ValueError("variable count mismatch")
+            # digit i of a packed key is the exponent of variable i; no digit
+            # of a product reaches base, so keys add without carries
+            base = 1 + _max_exponent(self.terms) + _max_exponent(other.terms)
+            weights = [base ** i for i in range(self.k)]
+            right = [(sum(map(mul, ev, weights)), c)
+                     for ev, c in other.terms.items()]
             out = {}
+            get = out.get
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    cur = out.get(key, 0) + c1 * c2
-                    if cur:
-                        out[key] = cur
-                    else:
-                        out.pop(key, None)
-            return VarPoly(self.k, out)
+                k1 = sum(map(mul, e1, weights))
+                for k2, c2 in right:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+            terms = {
+                tuple([key // w % base for w in weights]): c
+                for key, c in out.items() if c
+            }
+            return VarPoly._of(self.k, terms)
         return VarPoly(self.k, {ev: c * other for ev, c in self.terms.items()})
+
+    @classmethod
+    def _of(cls, k, terms):
+        """A VarPoly on terms already checked: exponent tuples of length k
+        with no negative entry, and no zero coefficient."""
+        out = cls.__new__(cls)
+        out.k = k
+        out.terms = terms
+        return out
 
     def __add__(self, other):
         if other.k != self.k:
@@ -151,7 +176,7 @@ class VarPoly:
                 out[ev] = cur
             else:
                 out.pop(ev, None)
-        return VarPoly(self.k, out)
+        return VarPoly._of(self.k, out)
 
     def coeff(self, ev):
         return self.terms.get(tuple(ev), 0)
@@ -159,6 +184,11 @@ class VarPoly:
     @classmethod
     def one(cls, k):
         return cls(k, {(0,) * k: 1})
+
+
+def _max_exponent(terms):
+    """The largest exponent of any variable in any of the exponent tuples."""
+    return max(itertools.chain.from_iterable(terms), default=0)
 
 
 def h_poly(r, k):

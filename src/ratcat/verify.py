@@ -338,20 +338,22 @@ def check_macmahon(n):
 
 def check_prop_multinomial(a, b):
     """Dyck path counts by run structure match the multinomial formula."""
+    counters = {}
 
     def run():
         seen = {}
         for d in enumerate_dyck(a, b):
             m = run_structure(d.word)
             seen[m] = seen.get(m, 0) + 1
+        total = counters["dyck_paths"] = sum(seen.values())
         for m, count in seen.items():
             if count != count_by_runs(a, b, m):
                 return False, {"runs": list(m), "count": count}, None
-        if sum(seen.values()) != count_dyck(a, b):
-            return False, {"total": sum(seen.values())}, None
+        if total != count_dyck(a, b):
+            return False, {"total": total}, None
         return True, None, None
 
-    return _timed("prop_multinomial", {"a": a, "b": b}, run)
+    return _timed("prop_multinomial", {"a": a, "b": b}, run, counters)
 
 
 def check_bizley(a, b):
@@ -410,25 +412,36 @@ def check_frobenius(a, b):
 def check_fixed_points(a, b):
     """Parking functions fixed by a permutation of cycle type lam number
     b^(len(lam)-1); checked by brute-force relabeling."""
+    counters = {}
 
     def run():
-        all_pf = list(enumerate_pf(a, b))
-        for lam in partitions_of(a):
-            sigma = _perm_of_cycle_type(lam)
-            fixed = 0
-            for p in all_pf:
-                # sigma sends p to the parking function with the relabeled
-                # labels re-sorted within each vertical run
-                relabeled = tuple(sigma[x] for x in p.labels)
-                if _sorted_runs(p.word, relabeled) == p.labels:
-                    fixed += 1
+        for lam, fixed in _fixed_point_counts(a, b, counters).items():
             expect = b ** (length(lam) - 1)
             if fixed != expect:
                 return False, {"lam": list(lam), "fixed": fixed,
                                "expected": expect}, None
         return True, None, None
 
-    return _timed("fixed_points", {"a": a, "b": b}, run)
+    return _timed("fixed_points", {"a": a, "b": b}, run, counters)
+
+
+def _fixed_point_counts(a, b, counters):
+    """{lam: how many (a,b)-parking functions a permutation of cycle type
+    lam fixes}, in partitions_of(a) order, counted for every lam in one pass
+    over the parking functions."""
+    sigmas = {lam: _perm_of_cycle_type(lam) for lam in partitions_of(a)}
+    fixed = dict.fromkeys(sigmas, 0)
+    pfs = 0
+    for p in enumerate_pf(a, b):
+        pfs += 1
+        for lam, sigma in sigmas.items():
+            # sigma sends p to the parking function with the relabeled
+            # labels re-sorted within each vertical run
+            relabeled = tuple(sigma[x] for x in p.labels)
+            if _sorted_runs(p.word, relabeled) == p.labels:
+                fixed[lam] += 1
+    counters["parking_functions"] = pfs
+    return fixed
 
 
 def _perm_of_cycle_type(lam):
@@ -469,17 +482,19 @@ def check_qbin_recursion(n):
 
 def check_sweep_contract(a, b):
     """sweep lands in Dyck paths and is injective on them."""
+    counters = {"dyck_paths": 0}
 
     def run():
         seen = {}
         for d in enumerate_dyck(a, b):
+            counters["dyck_paths"] += 1
             s = sweep(d)  # raises SweepContractError if not Dyck
             if s.word in seen:
                 return False, {"collision": [seen[s.word], d.word]}, None
             seen[s.word] = d.word
         return True, None, None
 
-    return _timed("sweep_injective", {"a": a, "b": b}, run)
+    return _timed("sweep_injective", {"a": a, "b": b}, run, counters)
 
 
 # -- sweep runner ----------------------------------------------------------

@@ -4,6 +4,7 @@ The conjecture sweep bound defaults to 10; set RATCAT_SWEEP_LIMIT=12 for
 the larger (slow) run.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -61,6 +62,9 @@ from ratcat.verify import (
 )
 
 SWEEP_LIMIT = int(os.environ.get("RATCAT_SWEEP_LIMIT", "10"))
+
+# sha256 of the bytes `ratcat verify all --range 10` writes
+SWEEP_10_SHA256 = "0f8605ccb989fbf76b124a10aa922c71cd221e8e09ffce1eb9f292dcbd8249d8"
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +224,9 @@ def test_criterion_7_lemma_suite():
 def test_criterion_8_conjecture_sweep(sweep_reports):
     failing = [r.to_json() for r in sweep_reports if not r.passed]
     assert not failing, failing
+    if SWEEP_LIMIT == 10:
+        out = reports_to_jsonl(sweep_reports) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_10_SHA256
 
 
 def test_criterion_9_property_suites():

@@ -21,7 +21,12 @@ from ratcat.qt import (
     q_int,
     rational_q_catalan,
 )
-from ratcat.qt import _dense_divide
+from ratcat.qt import (
+    _dense_divide,
+    _dense_q_binomial,
+    _dense_q_factorial,
+    _times_q_int,
+)
 
 exponents = st.integers(min_value=-4, max_value=4)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -172,6 +177,30 @@ def test_dense_q_analogue_edge_cases():
     assert q_binomial(5, 1) == q_int(5)
     with pytest.raises(ValueError):
         q_binomial(3, 4)
+
+
+def _factorial_quotient_q_binomial(n, k):
+    """The body _dense_q_binomial had before it divided stepwise:
+    [n]!_q over the product [k]!_q [n-k]!_q, in one long division."""
+    if not 0 <= k <= n:
+        raise ValueError(f"q_binomial requires 0 <= k <= n, got ({n}, {k})")
+    den = _dense_q_factorial(k)
+    for j in range(2, n - k + 1):
+        den = _times_q_int(den, j)
+    return _dense_divide(_dense_q_factorial(n), den)
+
+
+def test_stepwise_q_binomial_matches_factorial_quotient():
+    for n in range(31):
+        for k in range(n + 1):
+            got = _dense_q_binomial(n, k)
+            assert got == _factorial_quotient_q_binomial(n, k), (n, k)
+            assert got[-1] != 0 and all(type(c) is int for c in got), (n, k)
+    for n, k in ((0, 1), (3, 4), (3, -1), (0, -1), (30, 31)):
+        with pytest.raises(ValueError):
+            _dense_q_binomial(n, k)
+        with pytest.raises(ValueError):
+            q_binomial(n, k)
 
 
 def test_dense_divide_detects_remainder():

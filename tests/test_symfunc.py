@@ -1,6 +1,7 @@
 """Symmetric function engine: expansions, conversions, pairings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from ratcat.partitions import conjugate, partitions_of, z_lambda
 from ratcat.qt import LaurentQT
 from ratcat.symfunc import (
     SymExpansion,
+    VarPoly,
     basis_convert,
     cauchy_slices,
     h_poly,
@@ -33,10 +35,72 @@ def test_varpoly_to_m():
 
 
 def test_varpoly_to_m_rejects_asymmetric():
-    from ratcat.symfunc import VarPoly
-
     with pytest.raises(ValueError):
         varpoly_to_m(VarPoly(2, {(2, 0): 1}), 2)
+
+
+def _reference_mul(x, y):
+    """The tuple-key product that packed-key VarPoly.__mul__ replaced."""
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            cur = out.get(key, 0) + c1 * c2
+            if cur:
+                out[key] = cur
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _scaled(poly, c):
+    return VarPoly(poly.k, {ev: v * c for ev, v in poly.terms.items()})
+
+
+def test_varpoly_mul_matches_tuple_keys():
+    coefficients = (1, -3, Fraction(2, 7), LaurentQT.q() + 2 * LaurentQT.t())
+    for k in range(1, 8):
+        pieces = [maker(r, k) for maker in (h_poly, p_poly)
+                  for r in range(0, 8 - k + 1)]
+        for i, x in enumerate(pieces):
+            for y in pieces[i:]:
+                assert (x * y).terms == _reference_mul(x, y), (k, x.terms)
+        x, y = h_poly(2, k), p_poly(3, k)
+        for c in coefficients:
+            for left, right in ((_scaled(x, c), y), (x, _scaled(y, c)),
+                                (_scaled(x, c), _scaled(y, c))):
+                assert (left * right).terms == _reference_mul(left, right)
+    # a product of products: keys and exponents larger than one operand's
+    x = h_poly(3, 4) * p_poly(2, 4)
+    assert (x * x).terms == _reference_mul(x, x)
+
+
+def test_varpoly_mul_stores_no_cancelled_term():
+    for one in (1, Fraction(1, 3), LaurentQT.q()):
+        minus = VarPoly(2, {(1, 0): one, (0, 1): -one})
+        plus = VarPoly(2, {(1, 0): one, (0, 1): one})
+        square = one * one
+        assert (minus * plus).terms == {(2, 0): square, (0, 2): -square}
+        assert (minus * plus).terms == _reference_mul(minus, plus)
+
+
+def test_varpoly_scalar_multiply():
+    x = h_poly(3, 3)
+    assert (x * 2).terms == {ev: 2 * c for ev, c in x.terms.items()}
+    assert (x * Fraction(1, 2)).terms == {
+        ev: Fraction(c, 2) for ev, c in x.terms.items()}
+    assert (x * LaurentQT.t()).terms == {
+        ev: LaurentQT.monomial(0, 1, c) for ev, c in x.terms.items()}
+    assert (x * 0).terms == {}
+
+
+def test_varpoly_rejects_mismatched_and_negative_exponents():
+    with pytest.raises(ValueError, match="variable count"):
+        h_poly(2, 3) * h_poly(2, 4)
+    with pytest.raises(ValueError, match="wrong length"):
+        VarPoly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="negative"):
+        VarPoly(2, {(2, -1): 1})
 
 
 def test_kostka():

@@ -3,16 +3,21 @@
 import json
 
 import ratcat.verify
+from ratcat.parking import enumerate_pf
 from ratcat.partitions import (
     _word_stats,
     frame_stats,
     frontier,
     partition_of_frontier,
+    partitions_of,
 )
 from ratcat.paths import count_dyck, cyclic_shift, enumerate_dyck
 from ratcat.verify import (
     CLAIMS,
     CheckReport,
+    _fixed_point_counts,
+    _perm_of_cycle_type,
+    _sorted_runs,
     check_bizley,
     check_conj_abpf,
     check_conj_nonstd_qbin,
@@ -168,3 +173,54 @@ def test_conj_rat_qcat_raises_on_a_short_walk(monkeypatch):
     assert not report.passed
     assert report.witness["exception"] == "AssertionError"
     assert "walked 7 Dyck words" in report.witness["message"]
+
+
+def _per_cycle_type_counts(a, b):
+    """The loop check_fixed_points ran before it counted in one pass: the
+    whole frame held in a list, walked once per cycle type."""
+    all_pf = list(enumerate_pf(a, b))
+    counts = {}
+    for lam in partitions_of(a):
+        sigma = ratcat.verify._perm_of_cycle_type(lam)
+        counts[lam] = sum(
+            1 for p in all_pf
+            if _sorted_runs(p.word, tuple(sigma[x] for x in p.labels)) == p.labels
+        )
+    return counts
+
+
+def test_fixed_point_counts_match_the_per_cycle_type_loop():
+    for a, b in [(3, 4), (4, 5), (5, 3)]:
+        counters = {}
+        counts = _fixed_point_counts(a, b, counters)
+        assert counts == _per_cycle_type_counts(a, b), (a, b)
+        assert list(counts) == list(partitions_of(a))
+        assert counters == {"parking_functions": b ** (a - 1)}
+
+
+def test_fixed_points_names_the_first_changed_cycle_type(monkeypatch):
+    # the identity fixes every parking function, so giving it to a cycle
+    # type changes that type's count
+    def changed(lam):
+        if lam in ((3, 1), (2, 1, 1)):
+            return {x: x for x in range(1, 5)}
+        return _perm_of_cycle_type(lam)
+
+    monkeypatch.setattr(ratcat.verify, "_perm_of_cycle_type", changed)
+    report = check_fixed_points(4, 5)
+    assert not report.passed
+    assert report.witness == {"lam": [3, 1], "fixed": 125, "expected": 5}
+    assert _per_cycle_type_counts(4, 5)[(3, 1)] == 125
+    assert report.counters == {"parking_functions": 125}
+
+
+def test_enumerating_checks_count_what_they_walked():
+    for a, b in [(1, 4), (3, 5), (5, 3), (4, 7)]:
+        assert check_fixed_points(a, b).counters == {
+            "parking_functions": b ** (a - 1)}
+        for chk in (check_sweep_contract, check_prop_multinomial):
+            report = chk(a, b)
+            assert report.passed
+            assert report.counters == {"dyck_paths": count_dyck(a, b)}
+            assert "counters" not in report.to_json()
+            assert report.to_json(True)["counters"] == report.counters
