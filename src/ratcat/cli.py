@@ -135,13 +135,10 @@ def main(argv=None):
                    help="one claim name, or 'all' (the default)")
     p.add_argument(
         "--range", type=int, default=10, dest="bound",
-        help="largest a and b (default 10) of conj_rat_qcat, "
+        help="largest a and b (default 10, at least 1) of conj_rat_qcat, "
              "conj_nonstd_qbin, thm_ratcat, conj_ratqt_symm, conj_qtcat_spec "
-             "and sweep_injective; every other claim runs at fixed frames: "
-             "conj_abpf and thm_rational_frobenius at coprime a <= 4, b <= 9 "
-             "plus (5,8) and (7,4), lem_h_via_labels and lem_cyc_shift at "
-             "coprime a, b <= 8, qbin_recursion for n = 2..20, and the "
-             "counting and bijection claims at their own small frames")
+             "and sweep_injective; every other claim runs at fixed frames "
+             "(see README)")
     p.add_argument("--timings", action="store_true",
                    help="add each check's seconds and the process's peak "
                         "RSS, and the objects a check enumerated: box or "
@@ -220,6 +217,8 @@ def _dispatch(args):
         if args.claim != "all" and args.claim not in CLAIMS:
             raise _UsageError(f"unknown claim {args.claim!r}; valid claims: "
                               + ", ".join(["all", *CLAIMS]))
+        if args.bound < 1:
+            raise _UsageError(f"--range {args.bound} must be at least 1")
         code = 0
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             for report in run_sweep(limit=args.bound, claim=args.claim):

@@ -138,13 +138,6 @@ def partition_of_frontier(word, a, b):
     return normalize(tuple(reversed(xs)))
 
 
-def cells(mu):
-    """1-based (row from top, column from left) cell coordinates."""
-    for i, p in enumerate(normalize(mu), start=1):
-        for j in range(1, p + 1):
-            yield (i, j)
-
-
 def arm_leg(mu, cell):
     """(arm, leg) of a cell: cells to the right in its row, below in its column."""
     mu = normalize(mu)

@@ -70,14 +70,6 @@ class LaurentQT:
     def monomial(cls, q_exp, t_exp, coeff=1):
         return cls({(q_exp, t_exp): coeff})
 
-    @classmethod
-    def q(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def t(cls):
-        return cls({(0, 1): 1})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):

@@ -178,13 +178,15 @@ def test_verify_timings_add_rss_and_counters(capsys):
     ["sweep", "NNE", "3", "5"],
     ["zeta", "3", "3", "3"],
     ["verify", "no_such_claim"],
+    ["verify", "--range", "0"],
+    ["verify", "conj_rat_qcat", "--range", "-3"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    if argv[0] == "verify":
+    if argv[:2] == ["verify", "no_such_claim"]:
         assert "valid claims: all, conj_rat_qcat," in err
         assert "qbin_recursion" in err
 
@@ -242,11 +244,13 @@ def test_verify_writes_each_line_before_the_next_check(monkeypatch, tmp_path):
 
 
 def _failing(a, b):
-    return _timed("fails", {"a": a, "b": b}, lambda: (False, {"n": 1}, None))
+    return _timed("fails", {"a": a, "b": b},
+                  lambda a, b, counters: {"n": 1}, (a, b))
 
 
 def _crashing(a, b):
-    return _timed("crashes", {"a": a, "b": b}, lambda: 1 // 0)
+    return _timed("crashes", {"a": a, "b": b},
+                  lambda a, b, counters: 1 // 0, (a, b))
 
 
 @pytest.mark.parametrize("checkers, expect", [

@@ -46,6 +46,8 @@ from ratcat.symfunc import (
     varpoly_to_m,
 )
 
+Q, T = LaurentQT.monomial(1, 0), LaurentQT.monomial(0, 1)
+
 
 # -- reference fold: each F_{n,S} expanded as a polynomial in n variables --
 
@@ -210,7 +212,7 @@ def test_schroeder_matches_hook_coefficients():
 
 
 def test_cat_qt_small():
-    assert cat_qt(2, 3) == LaurentQT.q() + LaurentQT.t()
+    assert cat_qt(2, 3) == Q + T
     want = LaurentQT(
         {(4, 0): 1, (3, 1): 1, (2, 2): 1, (2, 1): 1, (1, 2): 1, (1, 3): 1, (0, 4): 1}
     )
@@ -227,7 +229,7 @@ def test_cat_qt_twins_and_symmetry():
 def test_pf_qt_2_3():
     series = pf_qt(2, 3)
     assert series.as_dict() == {
-        (2,): LaurentQT.q() + LaurentQT.t(),
+        (2,): Q + T,
         (1, 1): ONE,
     }
 
@@ -246,7 +248,7 @@ def test_pf_qt_at_one_recovers_frobenius():
 
 
 def test_hilb():
-    assert hilbert_series(pf_qt(2, 3)) == ONE + LaurentQT.q() + LaurentQT.t()
+    assert hilbert_series(pf_qt(2, 3)) == ONE + Q + T
     # q=t=1 gives the count of parking functions
     for a, b in [(3, 4), (4, 5)]:
         assert hilbert_series(pf_qt(a, b)).evaluate() == b ** (a - 1)
@@ -297,7 +299,7 @@ def test_trivial_coefficient_is_cat_qt():
 
 def test_to_matrix():
     assert to_matrix(ONE).rows == [[1]]
-    assert to_matrix(LaurentQT.q() + LaurentQT.t()).rows == [[0, 1], [1, 0]]
+    assert to_matrix(Q + T).rows == [[0, 1], [1, 0]]
     with pytest.raises(ValueError):
         to_matrix(LaurentQT.monomial(-1, 0))
 

@@ -28,6 +28,8 @@ from ratcat.qt import (
     _times_q_int,
 )
 
+Q, T = LaurentQT.monomial(1, 0), LaurentQT.monomial(0, 1)
+
 exponents = st.integers(min_value=-4, max_value=4)
 coeffs = st.integers(min_value=-9, max_value=9)
 polys = st.dictionaries(
@@ -61,7 +63,7 @@ def test_negative_exponents():
 
 
 def test_coeff_lookup():
-    p = LaurentQT.q() + LaurentQT.t() * 5
+    p = Q + T * 5
     assert p.coeff(1, 0) == 1
     assert p.coeff(0, 1) == 5
     assert p.coeff(7, 7) == 0
@@ -91,9 +93,9 @@ def test_exact_divide_round_trip(p, d):
 
 
 def test_exact_divide_detects_remainder():
-    p = LaurentQT.q() + ONE + LaurentQT.t()
+    p = Q + ONE + T
     with pytest.raises(ExactDivisionError):
-        p.exact_divide(LaurentQT.q() + ONE)
+        p.exact_divide(Q + ONE)
 
 
 @settings(max_examples=40)

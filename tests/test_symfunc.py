@@ -25,6 +25,8 @@ from ratcat.symfunc import (
     varpoly_to_m,
 )
 
+Q, T = LaurentQT.monomial(1, 0), LaurentQT.monomial(0, 1)
+
 
 def test_varpoly_to_m():
     assert varpoly_to_m(h_poly(2, 2), 2).as_dict() == {
@@ -58,7 +60,7 @@ def _scaled(poly, c):
 
 
 def test_varpoly_mul_matches_tuple_keys():
-    coefficients = (1, -3, Fraction(2, 7), LaurentQT.q() + 2 * LaurentQT.t())
+    coefficients = (1, -3, Fraction(2, 7), Q + 2 * T)
     for k in range(1, 8):
         pieces = [maker(r, k) for maker in (h_poly, p_poly)
                   for r in range(0, 8 - k + 1)]
@@ -76,7 +78,7 @@ def test_varpoly_mul_matches_tuple_keys():
 
 
 def test_varpoly_mul_stores_no_cancelled_term():
-    for one in (1, Fraction(1, 3), LaurentQT.q()):
+    for one in (1, Fraction(1, 3), Q):
         minus = VarPoly(2, {(1, 0): one, (0, 1): -one})
         plus = VarPoly(2, {(1, 0): one, (0, 1): one})
         square = one * one
@@ -89,7 +91,7 @@ def test_varpoly_scalar_multiply():
     assert (x * 2).terms == {ev: 2 * c for ev, c in x.terms.items()}
     assert (x * Fraction(1, 2)).terms == {
         ev: Fraction(c, 2) for ev, c in x.terms.items()}
-    assert (x * LaurentQT.t()).terms == {
+    assert (x * T).terms == {
         ev: LaurentQT.monomial(0, 1, c) for ev, c in x.terms.items()}
     assert (x * 0).terms == {}
 
@@ -191,5 +193,5 @@ def test_cauchy_identity():
 
 
 def test_json_round_trip():
-    f = single(3, "s", (2, 1), LaurentQT.q() + LaurentQT.t())
+    f = single(3, "s", (2, 1), Q + T)
     assert SymExpansion.from_json(f.to_json()) == f

@@ -1,6 +1,8 @@
 """Claim checkers: spot checks plus report plumbing."""
 
+import functools
 import json
+from math import gcd
 
 import ratcat.verify
 from ratcat.parking import enumerate_pf
@@ -82,25 +84,76 @@ def test_failed_report_carries_witness():
     assert parsed["witness"] == {"mu": [2, 1]}
 
 
-def test_sweep_task_order_is_stable():
-    t1 = [(fn.__name__, args) for fn, args in sweep_tasks(limit=4)]
-    t2 = [(fn.__name__, args) for fn, args in sweep_tasks(limit=4)]
-    assert t1 == t2
+def _coprime_box(bound_a, bound_b):
+    return [(a, b) for a in range(1, bound_a + 1)
+            for b in range(1, bound_b + 1) if gcd(a, b) == 1]
+
+
+def _nested_loop_plan(limit):
+    """(claim, args) of the default sweep, as the nested loops wrote it out
+    before the plan became one table."""
+    plan = []
+    for f in _coprime_box(limit, limit):
+        plan += [("conj_rat_qcat", f), ("conj_ratqt_symm", f),
+                 ("conj_qtcat_spec", f)]
+    for a in range(1, limit + 1):
+        for b in range(1, limit + 1):
+            plan.append(("conj_nonstd_qbin", (a, b)))
+    plan += [("thm_ratcat", f) for f in _coprime_box(limit, limit)]
+    for f in _coprime_box(8, 8):
+        plan += [("lem_h_via_labels", f), ("lem_cyc_shift", f)]
+    for f in _coprime_box(4, 9) + [(5, 8), (7, 4)]:
+        plan += [("conj_abpf", f), ("thm_rational_frobenius", f)]
+    plan += [("sweep_injective", f) for f in _coprime_box(limit, limit)]
+    plan += [("macmahon_maj", (n,)) for n in range(1, 7)]
+    plan += [("qbin_recursion", (n,)) for n in range(2, 21)]
+    for f in _coprime_box(5, 9):
+        plan += [("prop_multinomial", f), ("bizley_counts", f)]
+    plan += [("dinv_eq_area_prime_zeta", (n,)) for n in range(1, 6)]
+    plan += [("fixed_points", f) for f in _coprime_box(5, 8)]
+    return plan
+
+
+def test_sweep_table_matches_the_nested_loop_plan():
+    for limit in range(1, 11):
+        plan = [(chk.claim, args) for chk, args in sweep_tasks(limit)]
+        assert plan == _nested_loop_plan(limit), limit
 
 
 def test_claim_registry_names_each_checker():
     tasks = sweep_tasks(limit=2)
-    assert {chk for chk, _ in tasks} == set(CLAIMS.values())
-    assert len(CLAIMS) == len(set(CLAIMS.values()))
-    for name, chk in CLAIMS.items():
-        first = next(args for c, args in tasks if c is chk)
+    assert {chk.claim for chk, _ in tasks} == set(CLAIMS)
+    assert len(CLAIMS) == len(set(CLAIMS))
+    for name in CLAIMS:
+        chk, first = next((c, args) for c, args in tasks if c.claim == name)
         assert chk(*first).claim == name
 
 
+def test_claim_selects_a_rebound_checker(monkeypatch):
+    # a wrapped module-level checker (as a tracer installs) still runs
+    calls = []
+
+    @functools.wraps(check_macmahon)
+    def wrapped(*args):
+        calls.append(args)
+        return check_macmahon(*args)
+
+    monkeypatch.setattr(ratcat.verify, "check_macmahon", wrapped)
+    reports = list(run_sweep(claim="macmahon_maj"))
+    assert [r.params for r in reports] == [{"n": n} for n in range(1, 7)]
+    assert all(r.passed and r.claim == "macmahon_maj" for r in reports)
+    assert calls == [(n,) for n in range(1, 7)]
+
+
 def test_small_sweep_rerun_determinism():
-    kw = dict(limit=3, pf_limit=(2, 3), extra_pf=())
-    first = list(run_sweep(**kw))
-    assert reports_to_jsonl(run_sweep(**kw)) == reports_to_jsonl(first)
+    # the range-3 sweep with the pf-series claims cut to coprime a <= 2,
+    # b <= 3
+    pf_claims = ("conj_abpf", "thm_rational_frobenius")
+    tasks = [(chk, args) for chk, args in sweep_tasks(limit=3)
+             if chk.claim not in pf_claims or args in _coprime_box(2, 3)]
+    first = [chk(*args) for chk, args in tasks]
+    rerun = [chk(*args) for chk, args in tasks]
+    assert reports_to_jsonl(rerun) == reports_to_jsonl(first)
     assert all(r.passed for r in first)
 
 
