@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .parking import (
-    dinv_classical,
-    dinv_rational,
-    drw_classical,
-    drw_rational,
-    ides,
-    labelings_of,
+    _classical_terms,
+    _dinv,
+    _ides_mask,
+    _label_tuples,
+    _ranks,
+    _rational_terms,
 )
 from .partitions import multiplicities, partitions_of, z_lambda
 from .paths import area, east_counts, enumerate_dyck, sweep
@@ -128,32 +128,50 @@ def pf_qt(a, b, descending=False):
     anything else raises SchurPositivityError.
     """
     _require_coprime(a, b)
-    step = -1 if descending else 1
-    return _shuffle_schur(a, b, lambda pf: drw_rational(pf)[::step],
-                          dinv_rational, f"in frame ({a},{b})")
+    return _shuffle_schur(a, b, lambda d: _rational_terms(d, descending),
+                          f"in frame ({a},{b})")
 
 
-def _shuffle_schur(a, b, reading_word, dinv, where):
+def _shuffle_schur(a, b, path_terms, where):
     """Schur expansion of sum_P q^area t^dinv F_{a, IDes(reading word)} over
     the (a,b) parking functions, checked to be symmetric and Schur positive.
+    path_terms(d) gives the (dinv offset, dinv bound, pairs, reading order)
+    of each Dyck path d."""
+    return _descent_set_fold(a, _descent_histogram(a, b, path_terms), where)
 
-    F_{a,S} = sum_{T >= S} M_T (Gessel), so the coefficient of M_T in the
-    series is the sum of the descent-set histogram over the subsets of T,
-    with S, T in {1..a-1} stored as bitmasks. M_T belongs to the composition
-    whose partial sums are T, and the series is symmetric iff compositions
-    that sort to the same partition lam carry the same coefficient, the
-    coefficient of m_lam.
-    """
-    by_ides = {}
+
+def _descent_histogram(a, b, path_terms):
+    """{(IDes bitmask, area, dinv): how many parking functions}, counted on
+    the raw label tuples of each path."""
+    hist = {}
     for d in enumerate_dyck(a, b):
         ar = area(d)
-        for pf in labelings_of(d):
-            key = ides(reading_word(pf))
-            w = LaurentQT.monomial(ar, dinv(pf))
-            by_ides[key] = by_ides.get(key, LaurentQT.zero()) + w
+        terms = path_terms(d)
+        rank = _ranks(terms[3])
+        for labels in _label_tuples(d):
+            key = (_ides_mask(labels, rank), ar, _dinv(labels, terms))
+            hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def _descent_set_fold(a, hist, where):
+    """Schur expansion of sum count q^area t^dinv F_{a,S} over a descent-set
+    histogram {(S as a bitmask, area, dinv): count}, checked to be symmetric
+    and Schur positive.
+
+    F_{a,S} = sum_{T >= S} M_T (Gessel), so the coefficient of M_T in the
+    series is the sum of the histogram over the subsets of T, with S, T in
+    {1..a-1} stored as bitmasks. M_T belongs to the composition whose
+    partial sums are T, and the series is symmetric iff compositions that
+    sort to the same partition lam carry the same coefficient, the
+    coefficient of m_lam.
+    """
+    by_exps = {}
+    for (S, ar, dv), count in hist.items():
+        by_exps.setdefault(S, {})[ar, dv] = count
     by_mask = [LaurentQT.zero()] * (1 << (a - 1))
-    for S, w in by_ides.items():
-        by_mask[sum(1 << (j - 1) for j in S)] = w
+    for S, terms in by_exps.items():
+        by_mask[S] = LaurentQT(terms)
     for j in range(a - 1):
         bit = 1 << j
         for T in range(len(by_mask)):
@@ -180,7 +198,7 @@ def classical_shuffle_side(n):
     parking functions (the combinatorial side only)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _shuffle_schur(n, n, drw_classical, dinv_classical, f"at n={n}")
+    return _shuffle_schur(n, n, _classical_terms, f"at n={n}")
 
 
 def classical_cat_qt(n):

@@ -3,16 +3,23 @@
 A parking function is a Dyck path plus north-step labels listed bottom to
 top, strictly increasing within each vertical run. Classical objects live in
 an n x n frame; rational objects in a coprime (a,b) frame. The public
-constructor validates; objects derived from validated ones (the labelings of
-a path, the stretch P'') are built by a trusted constructor that skips the
-checks.
+constructor validates. The labelings of a path are walked as raw label
+tuples (_label_tuples); labelings_of wraps each in the trusted constructor,
+which skips the checks, as does the stretch P'' below.
+
+Each statistic has one formula, read off per-path terms (dinv offset, dinv
+bound, window pairs, reading order) computed once per path: dinv is the
+offset plus the window pairs (i, j) with p_i < p_j, and IDes is read off the
+label positions in reading order. The q,t-series kernel in frob applies the
+same helpers to label tuples, and the ParkingFunction statistics apply them
+to one parking function.
 
 Rational dinv is read off the levels at the feet of the north steps, as
-tdinv(P) - maxtdinv(D) + d(P) (Armstrong-Loehr-Warrington, section 5); the
-path's part of it and the reading order are computed once per path. The
-Bezout stretch P'', a classical parking function with multiset labels
-(exempt from the permutation check), is the independent reference route:
-dinv(P'') + d(P) - m(D) gives the same value.
+tdinv(P) - maxtdinv(D) + d(P) (Armstrong-Loehr-Warrington, section 5).
+Classical dinv pairs rows by area-cell count (the g-vector). The Bezout
+stretch P'', a classical parking function with multiset labels (exempt from
+the permutation check), is the independent reference route for rational
+dinv: dinv(P'') + d(P) - m(D) gives the same value.
 """
 
 from __future__ import annotations
@@ -132,20 +139,26 @@ def enumerate_pf(a, b):
 
 def labelings_of(d: DyckPath):
     """All parking functions with underlying path d."""
-    run_sizes = [len(g) for g in _run_label_groups(d.word, range(d.a))]
-    for labels in _distribute(list(range(1, d.a + 1)), run_sizes):
+    for labels in _label_tuples(d):
         yield ParkingFunction._trusted(d, labels)
 
 
-def _distribute(pool, sizes):
-    if not sizes:
-        yield ()
-        return
-    k = sizes[0]
-    for chosen in itertools.combinations(pool, k):
-        rest = [x for x in pool if x not in chosen]
-        for tail in _distribute(rest, sizes[1:]):
-            yield chosen + tail
+def _label_tuples(d: DyckPath):
+    """The label tuples of the parking functions on d, bottom to top, in
+    lexicographic order: each run takes a combination of the labels left
+    over, and the last run takes the rest."""
+    sizes = [len(g) for g in _run_label_groups(d.word, range(d.a))]
+    last = max(len(sizes) - 1, 0)
+
+    def rec(prefix, pool, r):
+        if r == last:
+            yield prefix + pool
+            return
+        for chosen in itertools.combinations(pool, sizes[r]):
+            yield from rec(prefix + chosen,
+                           tuple(x for x in pool if x not in chosen), r + 1)
+
+    return rec((), tuple(range(1, d.a + 1)), 0)
 
 
 # -- classical statistics --------------------------------------------------
@@ -153,37 +166,86 @@ def _distribute(pool, sizes):
 
 def gp_vectors(pf):
     """(g, p): area-cell counts and labels per row, bottom to top."""
-    if pf.a != pf.b:
+    return _g_vector(pf.path), tuple(pf.labels)
+
+
+def _g_vector(d: DyckPath):
+    if d.a != d.b:
         raise ValueError("gp vectors are defined for the classical frame")
-    xs = east_counts(pf.word)
-    g = tuple(i - x for i, x in enumerate(xs))
-    return g, tuple(pf.labels)
+    return tuple(i - x for i, x in enumerate(east_counts(d.word)))
+
+
+@lru_cache(maxsize=1)
+def _classical_terms(d: DyckPath):
+    """(dinv offset, dinv bound, pairs, reading order) of an n x n path.
+
+    With g_i the area cells of row i, dinv counts the rows i < j with
+    g_i = g_j and p_i < p_j, or g_i = g_j + 1 and p_i > p_j: the pairs are
+    (i, j) and (j, i) respectively, so dinv counts label-increasing pairs
+    from offset 0. The diagonal reading order takes higher diagonals first,
+    each scanned NE to SW.
+    """
+    g = _g_vector(d)
+    n = len(g)
+    pairs = tuple((i, j) if g[i] == g[j] else (j, i)
+                  for i in range(n) for j in range(i + 1, n)
+                  if g[i] == g[j] or g[i] == g[j] + 1)
+    order = tuple(sorted(range(n), key=lambda i: (-g[i], -i)))
+    return 0, len(pairs), pairs, order
+
+
+def _dinv(labels, terms):
+    """The offset plus the pairs (i, j) with labels[i] < labels[j]; a value
+    outside 0..bound raises AssertionError, also under python -O."""
+    offset, bound, pairs, _ = terms
+    value = offset
+    for i, j in pairs:
+        if labels[i] < labels[j]:
+            value += 1
+    if not 0 <= value <= bound:
+        raise AssertionError(f"dinv {value} outside 0..{bound} for labels {labels}")
+    return value
+
+
+def _ranks(order):
+    """Position of each north step in the reading order."""
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank
+
+
+def _ides_mask(labels, rank):
+    """IDes of the word with labels[i] at position rank[i], as a bitmask:
+    bit j-1 is set iff j+1 sits left of j."""
+    n = len(labels)
+    pos = [0] * (n + 1)
+    for r, x in zip(rank, labels):
+        pos[x] = r
+    mask = 0
+    for j in range(1, n):
+        if pos[j + 1] < pos[j]:
+            mask |= 1 << (j - 1)
+    return mask
+
+
+def _reading_word(labels, order):
+    return tuple(labels[i] for i in order)
 
 
 def dinv_classical(pf):
     """Pairs i < j with g_i = g_j, p_i < p_j or g_i = g_j + 1, p_i > p_j."""
-    g, p = gp_vectors(pf)
-    n = len(g)
-    return sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (g[i] == g[j] and p[i] < p[j]) or (g[i] == g[j] + 1 and p[i] > p[j])
-    )
+    return _dinv(pf.labels, _classical_terms(pf.path))
 
 
 def drw_classical(pf):
     """Diagonal reading word: higher diagonals first, each scanned NE to SW."""
-    g, p = gp_vectors(pf)
-    order = sorted(range(len(g)), key=lambda i: (-g[i], -i))
-    return tuple(p[i] for i in order)
+    return _reading_word(pf.labels, _classical_terms(pf.path)[3])
 
 
 def drw_rational(pf):
     """Labels of north steps read by increasing level of bottom endpoints."""
-    order = _path_terms(pf.path)[3]
-    labels = pf.labels
-    return tuple(labels[i] for i in order)
+    return _reading_word(pf.labels, _path_terms(pf.path)[3])
 
 
 def ides(word):
@@ -191,8 +253,8 @@ def ides(word):
     n = len(word)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"{word} is not a permutation word")
-    pos = {x: i for i, x in enumerate(word)}
-    return frozenset(j for j in range(1, n) if pos[j + 1] < pos[j])
+    mask = _ides_mask(word, range(n))
+    return frozenset(j for j in range(1, n) if mask >> (j - 1) & 1)
 
 
 # -- the zeta map ----------------------------------------------------------
@@ -357,6 +419,14 @@ def _path_terms(d: DyckPath):
     return d_stat(d), len(pairs), pairs, order
 
 
+def _rational_terms(d: DyckPath, descending=False):
+    """(dinv offset, dinv bound, window pairs, reading order) of an (a,b)
+    path: dinv = d(P) - maxtdinv(D) + the label-increasing window pairs,
+    within 0..d(P). descending=True reverses the reading order."""
+    ds, m, pairs, order = _path_terms(d)
+    return ds - m, ds, pairs, order[::-1] if descending else order
+
+
 def dinv_rational(pf: ParkingFunction):
     """dinv(P) = tdinv(P) - maxtdinv(D) + d(P); identically 0 when a = 1.
 
@@ -365,11 +435,4 @@ def dinv_rational(pf: ParkingFunction):
     dinv(P'') + d(P) - m(D) of the Bezout stretch, the route kept in
     stretch_to_ppp and max_stretched_dinv.
     """
-    if pf.a == 1:
-        return 0
-    d, m, pairs, _ = _path_terms(pf.path)
-    labels = pf.labels
-    value = sum(1 for i, j in pairs if labels[i] < labels[j]) - m + d
-    if not 0 <= value <= d:
-        raise AssertionError(f"dinv {value} outside 0..{d} for {pf}")
-    return value
+    return _dinv(pf.labels, _rational_terms(pf.path))

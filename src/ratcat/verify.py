@@ -23,6 +23,7 @@ from .frob import (
     schroeder,
 )
 from .parking import (
+    _label_tuples,
     _run_label_groups,
     area_prime,
     dinv_classical,
@@ -378,18 +379,19 @@ def check_fixed_points(a, b, counters):
 def _fixed_point_counts(a, b, counters):
     """{lam: how many (a,b)-parking functions a permutation of cycle type
     lam fixes}, in partitions_of(a) order, counted for every lam in one pass
-    over the parking functions."""
+    over the label tuples of each Dyck path."""
     sigmas = {lam: _perm_of_cycle_type(lam) for lam in partitions_of(a)}
     fixed = dict.fromkeys(sigmas, 0)
     pfs = 0
-    for p in enumerate_pf(a, b):
-        pfs += 1
-        for lam, sigma in sigmas.items():
-            # sigma sends p to the parking function with the relabeled
-            # labels re-sorted within each vertical run
-            relabeled = tuple(sigma[x] for x in p.labels)
-            if _sorted_runs(p.word, relabeled) == p.labels:
-                fixed[lam] += 1
+    for d in enumerate_dyck(a, b):
+        runs = _run_slices(d.word, a)
+        for labels in _label_tuples(d):
+            pfs += 1
+            for lam, sigma in sigmas.items():
+                # sigma sends the parking function to the one with the
+                # relabeled labels re-sorted within each vertical run
+                if _resorted([sigma[x] for x in labels], runs) == labels:
+                    fixed[lam] += 1
     counters["parking_functions"] = pfs
     return fixed
 
@@ -405,9 +407,22 @@ def _perm_of_cycle_type(lam):
     return sigma
 
 
+def _run_slices(word, a):
+    """One slice of the label tuple per vertical run of word, bottom to top."""
+    return [slice(run[0], run[-1] + 1) for run in _run_label_groups(word, range(a))]
+
+
+def _resorted(labels, runs):
+    """The labels re-sorted within each run slice."""
+    out = []
+    for run in runs:
+        out += sorted(labels[run])
+    return tuple(out)
+
+
 def _sorted_runs(word, labels):
     """The labels re-sorted within each vertical run of word."""
-    return tuple(x for run in _run_label_groups(word, labels) for x in sorted(run))
+    return _resorted(labels, _run_slices(word, len(labels)))
 
 
 @_claim("qbin_recursion", "n")

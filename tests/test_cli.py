@@ -76,6 +76,15 @@ def test_pfqt_7_5_json_is_pinned(capsys):
         "275b32a79814be593190ab210498b372ec08bfc6141831415779459d32f42020")
 
 
+def test_pfqt_6_7_json_is_pinned(capsys):
+    # the (6,7) series (16 807 parking functions), pinned byte for byte to
+    # the output computed one ParkingFunction at a time
+    code, out, _ = run(capsys, "pfqt", "6", "7", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eb95d5524a073d5fc32feee633e324047a5a86f9adf03ee64b25f41020904039")
+
+
 def test_qcat(capsys):
     code, out, _ = run(capsys, "qcat", "2", "3", "--format", "json")
     assert code == 0

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from ratcat.cli import GOLDEN_PF_FRAMES
+import ratcat.parking as parking
 from ratcat.frob import (
     QTMatrix,
-    _shuffle_schur,
+    _descent_histogram,
+    _descent_set_fold,
     cat_qt,
     classical_cat_qt,
     classical_shuffle_side,
@@ -27,6 +29,8 @@ from ratcat.frob import (
     to_matrix,
 )
 from ratcat.parking import (
+    _classical_terms,
+    _rational_terms,
     dinv_classical,
     dinv_rational,
     drw_classical,
@@ -34,7 +38,7 @@ from ratcat.parking import (
     ides,
     labelings_of,
 )
-from ratcat.paths import area, enumerate_dyck
+from ratcat.paths import area, east_counts, enumerate_dyck
 from ratcat.qt import LaurentQT, ONE, q_int
 from ratcat.symfunc import (
     VarPoly,
@@ -140,10 +144,118 @@ def test_descent_set_fold_matches_reference_classical():
 
 
 def test_descent_set_fold_rejects_asymmetric_series():
-    # every reading word has IDes = {1}: the sum is a multiple of F_{3,{1}},
-    # whose M_(1,2) and M_(2,1) coefficients differ
+    # the (3,4) histogram with every entry moved to IDes = {1}: the sum is a
+    # multiple of F_{3,{1}}, whose M_(1,2) and M_(2,1) coefficients differ
+    hist = {}
+    for (_, ar, dv), count in _descent_histogram(3, 4, _rational_terms).items():
+        hist[0b1, ar, dv] = hist.get((0b1, ar, dv), 0) + count
     with pytest.raises(ValueError, match="not symmetric"):
-        _shuffle_schur(3, 4, lambda pf: (2, 1, 3), dinv_rational, "in test")
+        _descent_set_fold(3, hist, "in test")
+
+
+# -- the per-parking-function statistics the kernel replaced ---------------
+
+
+def old_dinv_rational(pf):
+    if pf.a == 1:
+        return 0
+    d, m, pairs, _ = parking._path_terms(pf.path)
+    labels = pf.labels
+    value = sum(1 for i, j in pairs if labels[i] < labels[j]) - m + d
+    if not 0 <= value <= d:
+        raise AssertionError(f"dinv {value} outside 0..{d} for {pf}")
+    return value
+
+
+def old_drw_rational(pf):
+    order = parking._path_terms(pf.path)[3]
+    labels = pf.labels
+    return tuple(labels[i] for i in order)
+
+
+def old_ides(word):
+    n = len(word)
+    if sorted(word) != list(range(1, n + 1)):
+        raise ValueError(f"{word} is not a permutation word")
+    pos = {x: i for i, x in enumerate(word)}
+    return frozenset(j for j in range(1, n) if pos[j + 1] < pos[j])
+
+
+def old_gp_vectors(pf):
+    xs = east_counts(pf.word)
+    g = tuple(i - x for i, x in enumerate(xs))
+    return g, tuple(pf.labels)
+
+
+def old_dinv_classical(pf):
+    g, p = old_gp_vectors(pf)
+    n = len(g)
+    return sum(
+        1
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (g[i] == g[j] and p[i] < p[j]) or (g[i] == g[j] + 1 and p[i] > p[j])
+    )
+
+
+def old_drw_classical(pf):
+    g, p = old_gp_vectors(pf)
+    order = sorted(range(len(g)), key=lambda i: (-g[i], -i))
+    return tuple(p[i] for i in order)
+
+
+def per_pf_histogram(a, b, reading_word, dinv):
+    """{(IDes bitmask, area, dinv): count} built one ParkingFunction at a
+    time from labelings_of."""
+    hist = {}
+    for d in enumerate_dyck(a, b):
+        ar = area(d)
+        for pf in labelings_of(d):
+            mask = sum(1 << (j - 1) for j in old_ides(reading_word(pf)))
+            key = (mask, ar, dinv(pf))
+            hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("a,b", [(5, 8), (6, 7), (7, 5)])
+@pytest.mark.parametrize("descending", [False, True])
+def test_kernel_histogram_matches_per_pf_statistics(a, b, descending):
+    step = -1 if descending else 1
+    want = per_pf_histogram(a, b, lambda pf: old_drw_rational(pf)[::step],
+                            old_dinv_rational)
+    got = _descent_histogram(a, b, lambda d: _rational_terms(d, descending))
+    assert got == want
+    assert sum(got.values()) == b ** (a - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_histogram_matches_per_pf_statistics_classical(n):
+    want = per_pf_histogram(n, n, old_drw_classical, old_dinv_classical)
+    assert _descent_histogram(n, n, _classical_terms) == want
+
+
+@pytest.mark.parametrize("a,b", [(1, 4), (3, 5), (5, 3), (4, 7), (5, 6)])
+def test_public_statistics_match_the_per_pf_bodies(a, b):
+    for pf in parking.enumerate_pf(a, b):
+        assert dinv_rational(pf) == old_dinv_rational(pf), pf
+        word = drw_rational(pf)
+        assert word == old_drw_rational(pf), pf
+        assert ides(word) == old_ides(word), pf
+
+
+def test_public_classical_statistics_match_the_per_pf_bodies():
+    for n in range(1, 6):
+        for pf in parking.enumerate_pf(n, n):
+            assert dinv_classical(pf) == old_dinv_classical(pf), pf
+            word = drw_classical(pf)
+            assert word == old_drw_classical(pf), pf
+            assert ides(word) == old_ides(word), pf
+    # the Bezout stretch carries multiset labels
+    for a, b in [(3, 5), (5, 3), (4, 7)]:
+        for pf in parking.enumerate_pf(a, b):
+            pp = parking.stretch_to_ppp(pf)
+            assert dinv_classical(pp) == old_dinv_classical(pp), pf
+            assert drw_classical(pp) == old_drw_classical(pp), pf
 
 
 def test_frob_closed_forms_small():

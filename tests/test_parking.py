@@ -1,5 +1,6 @@
 """Parking functions, reading words, zeta, and rational dinv."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratcat.parking as parking
+from ratcat.cli import GOLDEN_PF_FRAMES
 from ratcat.parking import (
     NotAParkingFunction,
     ParkingFunction,
+    _run_label_groups,
     area_prime,
     bezout_xy,
     d_stat,
@@ -46,6 +49,27 @@ def test_validation():
         ParkingFunction("NENEE", (1,), 2, 3)  # one label short
     ParkingFunction("NNEEE", (2, 1), 2, 3, multiset=True)
     assert ParkingFunction("NENEE", (1, 2), 2, 3).path == DyckPath("NENEE", 2, 3)
+
+
+def distribute(pool, sizes):
+    """The labelings generator labelings_of wrapped before the label
+    tuples: each run takes a combination of the pool, recursively."""
+    if not sizes:
+        yield ()
+        return
+    k = sizes[0]
+    for chosen in itertools.combinations(pool, k):
+        rest = [x for x in pool if x not in chosen]
+        for tail in distribute(rest, sizes[1:]):
+            yield chosen + tail
+
+
+@pytest.mark.parametrize("a,b", GOLDEN_PF_FRAMES + [(6, 7)])
+def test_label_tuples_match_distribute(a, b):
+    for d in enumerate_dyck(a, b):
+        sizes = [len(g) for g in _run_label_groups(d.word, range(d.a))]
+        want = list(distribute(list(range(1, a + 1)), sizes))
+        assert list(parking._label_tuples(d)) == want, d
 
 
 TRUSTED_FRAMES = [(2, 3), (3, 5), (4, 5), (5, 3), (3, 3)]
@@ -88,6 +112,23 @@ def test_dinv_range_check_survives_optimize():
         "p._path_terms = lambda d: (0, 99, (), (0, 1))\n"
         "try:\n"
         "    p.dinv_rational(p.ParkingFunction('NENEE', (1, 2), 2, 3))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
+
+
+def test_kernel_dinv_range_check_survives_optimize():
+    # the same forced value reached through the q,t-series kernel
+    code = (
+        "import ratcat.parking as p\n"
+        "import ratcat.frob as f\n"
+        "p._path_terms = lambda d: (0, 99, (), tuple(range(d.a)))\n"
+        "try:\n"
+        "    f.pf_qt(2, 3)\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )

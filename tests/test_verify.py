@@ -5,7 +5,7 @@ import json
 from math import gcd
 
 import ratcat.verify
-from ratcat.parking import enumerate_pf
+from ratcat.parking import _run_label_groups, enumerate_pf
 from ratcat.partitions import (
     _word_stats,
     frame_stats,
@@ -240,6 +240,29 @@ def _per_cycle_type_counts(a, b):
             if _sorted_runs(p.word, tuple(sigma[x] for x in p.labels)) == p.labels
         )
     return counts
+
+
+def _one_pass_counts_over_pfs(a, b):
+    """The one-pass count before it walked label tuples: a ParkingFunction
+    per labeling, its word re-scanned into runs for every cycle type."""
+    sigmas = {lam: _perm_of_cycle_type(lam) for lam in partitions_of(a)}
+    fixed = dict.fromkeys(sigmas, 0)
+    for p in enumerate_pf(a, b):
+        for lam, sigma in sigmas.items():
+            relabeled = tuple(sigma[x] for x in p.labels)
+            resorted = tuple(x for run in _run_label_groups(p.word, relabeled)
+                             for x in sorted(run))
+            if resorted == p.labels:
+                fixed[lam] += 1
+    return fixed
+
+
+def test_fixed_point_counts_match_the_one_pass_over_pfs():
+    for a, b in [(3, 4), (4, 5), (5, 3), (5, 8)]:
+        counts = _fixed_point_counts(a, b, {})
+        want = _one_pass_counts_over_pfs(a, b)
+        assert counts == want, (a, b)
+        assert list(counts) == list(want)
 
 
 def test_fixed_point_counts_match_the_per_cycle_type_loop():
