@@ -34,7 +34,6 @@ from .frob import (
 from .parking import from_preference_vector, zeta
 from .paths import DyckPath, SweepContractError, enumerate_dyck, sweep
 from .qt import ExactDivisionError, rational_q_catalan
-from .verify import CLAIMS, reports_to_jsonl, run_sweep
 
 GOLDEN_CAT_FRAMES = [(2, 3), (3, 5), (3, 7), (4, 7), (5, 8)]
 GOLDEN_PF_FRAMES = [(2, 3), (2, 5), (3, 5), (4, 7), (5, 3), (5, 8), (7, 4)]
@@ -214,6 +213,10 @@ def _dispatch(args):
         _emit(json.dumps({"word": r.word,
                           "diagonal_word": list(r.diagonal_word)}), args.out)
     elif args.command == "verify":
+        # imported here: no other command needs the checkers, and compiling
+        # them adds to the peak memory of every other command
+        from .verify import CLAIMS, reports_to_jsonl, run_sweep
+
         if args.claim != "all" and args.claim not in CLAIMS:
             raise _UsageError(f"unknown claim {args.claim!r}; valid claims: "
                               + ", ".join(["all", *CLAIMS]))

@@ -20,12 +20,11 @@ from .paths import area, east_counts, enumerate_dyck, sweep
 from .qt import LaurentQT, exact_quotient
 from .symfunc import (
     SymExpansion,
-    VarPoly,
+    _m_product,
+    _one_row,
     basis_convert,
-    h_poly,
     hook_length_dim,
     schur_principal_special,
-    varpoly_to_m,
 )
 
 
@@ -79,24 +78,26 @@ def frob_s(a, b):
 def frob_via_genfunc(a, b):
     """Coefficient of t^a in (1/b)[H(t)]^b, H(t) = sum_i h_i t^i.
 
-    Computed with the t-series truncated at degree a and each h_i carried as
-    an explicit polynomial in a variables; an independent route from the
-    closed forms above.
+    Computed with the t-series truncated at degree a, each coefficient an
+    m-basis dict, and each h_i the sum of all m_mu with mu a partition of i;
+    the products are read off dominant monomials (symfunc._m_product). An
+    independent route from the closed forms above and from Kostka numbers.
     """
     _require_coprime(a, b)
-    k = max(a, 1)
-    base = [h_poly(i, k) for i in range(a + 1)]
-    series = [VarPoly.one(k)] + [VarPoly(k) for _ in range(a)]
+    base = [_one_row("h", i) for i in range(a + 1)]
+    series = [{(): 1}] + [{} for _ in range(a)]
     for _ in range(b):
-        nxt = [VarPoly(k) for _ in range(a + 1)]
+        nxt = [{} for _ in range(a + 1)]
         for i in range(a + 1):
-            if not series[i].terms:
+            if not series[i]:
                 continue
             for j in range(a + 1 - i):
-                nxt[i + j] = nxt[i + j] + series[i] * base[j]
+                acc = nxt[i + j]
+                for lam, c in _m_product(series[i], base[j], i, j).items():
+                    acc[lam] = acc.get(lam, 0) + c
         series = nxt
-    top = series[a] * Fraction(1, b)
-    return varpoly_to_m(top, a)
+    return SymExpansion.build(
+        a, "m", {lam: Fraction(c, b) for lam, c in series[a].items()})
 
 
 def schroeder(a, b, k):
@@ -224,11 +225,6 @@ def hilbert_series(series):
     for lam, c in series.coeffs:
         total = total + c * hook_length_dim(lam)
     return total
-
-
-def dimension_check(a, b):
-    """Sum over lam of (s-coefficient at q=t=1) * f^lam must equal b^(a-1)."""
-    return hilbert_series(pf_qt(a, b)).evaluate() == b ** (a - 1)
 
 
 # -- matrix display --------------------------------------------------------

@@ -173,6 +173,22 @@ def _h_pair(mu, a, b):
     return hp, hm
 
 
+def _north_pairs(easts, level, n):
+    """(h+, h-) pairs of an N step that starts at level, with n = a+b, made
+    with the E steps before it, given the levels easts those E steps start
+    at: h+ counts the e with level < e <= level+n, h- those with
+    level <= e < level+n."""
+    hp = hm = 0
+    top = level + n
+    for e in easts:
+        if level <= e <= top:
+            if e != level:
+                hp += 1
+            if e != top:
+                hm += 1
+    return hp, hm
+
+
 def _word_stats(word, a, b):
     """(|mu|, ml, h+, h-) of the partition whose frontier is word, in one
     pass over its steps.
@@ -180,8 +196,8 @@ def _word_stats(word, a, b):
     |mu| sums the x-positions of the N steps and ml is the minimum level.
     h+ counts pairs i < j with w_i = E, w_j = N, 1 <= l_{i-1} - l_{j-1} <= a+b;
     h- counts pairs with 1 <= l_j - l_i <= a+b. Since l_j - l_i = a+b -
-    (l_{i-1} - l_{j-1}), both windows sit on e = l_{i-1} with l = l_{j-1}:
-    h+ takes l < e <= l+a+b and h- takes l <= e < l+a+b.
+    (l_{i-1} - l_{j-1}), both windows sit on e = l_{i-1} with l = l_{j-1}
+    (see _north_pairs).
     """
     n = a + b
     x = size = level = low = hp = hm = 0
@@ -189,13 +205,9 @@ def _word_stats(word, a, b):
     for step in word:
         if step == "N":
             size += x
-            top = level + n
-            for e in easts:
-                if level <= e <= top:
-                    if e != level:
-                        hp += 1
-                    if e != top:
-                        hm += 1
+            dp, dm = _north_pairs(easts, level, n)
+            hp += dp
+            hm += dm
             level += b
         else:
             easts.append(level)
@@ -206,14 +218,41 @@ def _word_stats(word, a, b):
     return size, low, hp, hm
 
 
+def frame_entries(a, b):
+    """(frontier word, (mu, |mu|, ml, h+, h-)) for every partition mu in the
+    a x b box, the words in descending lexicographic order (N before E).
+
+    A depth-first walk over the steps, on a stack of immutable prefix
+    states: words that share a prefix share its levels, its |mu| and its
+    pair counts, and an N step adds only the pairs it makes with the E
+    levels already on the prefix (_north_pairs, as in _word_stats).
+    """
+    n = a + b
+    # word, E levels, N x-positions, |mu|, level, ml, h+, h-
+    stack = [("", (), (), 0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, easts, xs, size, level, low, hp, hm = pop()
+        x = len(easts)
+        if len(word) == n:
+            yield word, (tuple([p for p in reversed(xs) if p]),
+                         size, low, hp, hm)
+            continue
+        if x < b:  # pushed first, so the N child is walked first
+            down = level - a
+            push((word + "E", easts + (level,), xs, size, down,
+                  down if down < low else low, hp, hm))
+        if len(xs) < a:
+            dp, dm = _north_pairs(easts, level, n)
+            push((word + "N", easts, xs + (x,), size + x, level + b, low,
+                  hp + dp, hm + dm))
+
+
 def frame_stats(a, b):
     """{frontier word: (mu, |mu|, ml, h+, h-)} for every partition in the
-    a x b box, in enumerate_box order; the triangle is where ml == 0."""
-    table = {}
-    for mu in enumerate_box(a, b):
-        w = _frontier(mu, a, b)
-        table[w] = (mu, *_word_stats(w, a, b))
-    return table
+    a x b box, in frame_entries order (descending lexicographic words); the
+    triangle is where ml == 0."""
+    return dict(frame_entries(a, b))
 
 
 def min_level(mu, a, b):

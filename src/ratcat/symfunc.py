@@ -1,11 +1,17 @@
 """Degree-bounded symmetric and quasisymmetric functions.
 
-Everything homogeneous of degree n is expanded in exactly n variables, which
-is faithful since no partition of n has more than n parts. The monomial basis
-is the hub: h and p reach it by expanding products of one-row pieces, s by
-Kostka numbers, and the reverse direction peels triangular systems. Those
-explicit products (VarPoly) multiply on exponent vectors packed into ints,
-so a monomial product is one int addition.
+The monomial basis is the hub: h and p reach it as products of one-row
+pieces (h_r is the sum of all m_mu with mu a partition of r, p_r is m_(r)), s
+by Kostka numbers, and the reverse direction peels triangular systems. A
+product of two m-expansions is read off the dominant monomials of the result
+(_m_product), so no monomial is ever expanded.
+
+VarPoly, a polynomial in explicit variables, remains as the tests' reference
+route (the Cauchy kernels, h and p products, the generating-function
+Frobenius): everything homogeneous of degree n is expanded in exactly n
+variables, which is faithful since no partition of n has more than n parts.
+Its products multiply on exponent vectors packed into ints, so a monomial
+product is one int addition.
 """
 
 from __future__ import annotations
@@ -15,14 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import mul
+from operator import mul, sub
 
 from .partitions import (
     conjugate,
     multiplicities,
     normalize,
     partitions_of,
-    z_lambda,
 )
 from .qt import LaurentQT, exact_quotient
 
@@ -300,6 +305,55 @@ def _horizontal_strip_removals(shape, strip_size):
 # -- basis elements expanded in the monomial basis -------------------------
 
 
+def _one_row(basis, r):
+    """h_r or p_r as an m-basis dict {partition: coeff}: h_r is the sum of
+    every monomial of degree r, p_r is m_(r)."""
+    if basis == "h":
+        return dict.fromkeys(partitions_of(r), 1)
+    return {(r,): 1}
+
+
+def _m_product(f, g, df, dg):
+    """The product of two symmetric functions given as m-basis dicts
+    {partition: coeff} of degrees df and dg, as such a dict of degree df+dg.
+
+    The coefficient of m_lam in f*g is that of the dominant monomial x^lam:
+    the sum of f[sort alpha] * g[sort(lam - alpha)] over the vectors
+    0 <= alpha <= lam with |alpha| = df. Only the partitions of df+dg are
+    read, and no monomial is expanded.
+    """
+    out = {}
+    for lam in partitions_of(df + dg):
+        c = 0
+        for left, right, ways in _splits(lam)[df]:
+            x = f.get(left)
+            if x:
+                y = g.get(right)
+                if y:
+                    c += ways * x * y
+        if c:
+            out[lam] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _splits(lam):
+    """{d: ((sort alpha, sort(lam - alpha), how many alpha), ...)} over the
+    vectors 0 <= alpha <= lam, grouped by d = |alpha|; sort v is the
+    partition of the nonzero entries of v."""
+    counts = {}
+    for alpha in itertools.product(*[range(p + 1) for p in lam]):
+        key = (_parts(alpha), _parts(map(sub, lam, alpha)))
+        by_key = counts.setdefault(sum(alpha), {})
+        by_key[key] = by_key.get(key, 0) + 1
+    return {d: tuple((*key, ways) for key, ways in by_key.items())
+            for d, by_key in counts.items()}
+
+
+def _parts(vector):
+    return tuple(sorted([v for v in vector if v], reverse=True))
+
+
 @lru_cache(maxsize=None)
 def _basis_in_m(basis, lam):
     n = sum(lam)
@@ -309,11 +363,11 @@ def _basis_in_m(basis, lam):
         return SymExpansion.build(
             n, "m", {mu: kostka(lam, mu) for mu in partitions_of(n)}
         )
-    maker = h_poly if basis == "h" else p_poly
-    poly = VarPoly.one(max(n, 1))
+    out, degree = {(): 1}, 0
     for part in lam:
-        poly = poly * maker(part, max(n, 1))
-    return varpoly_to_m(poly, n)
+        out = _m_product(out, _one_row(basis, part), degree, part)
+        degree += part
+    return SymExpansion.build(n, "m", out)
 
 
 def _to_m(f: SymExpansion):
@@ -465,45 +519,3 @@ def hook_length_dim(lam):
         for j in range(1, p + 1):
             denom *= (p - j) + (conj[j - 1] - i) + 1
     return exact_quotient(factorial(n), denom)
-
-
-def cauchy_slices(n):
-    """The three degree-n Cauchy kernels in x_1..x_n, y_1..y_n.
-
-    Returns (h*m, p*p/z, s*s) as VarPoly objects in 2n variables so callers
-    can assert they agree.
-    """
-    k = 2 * n
-
-    def embed_x(poly):
-        return VarPoly(k, {ev + (0,) * n: c for ev, c in poly.terms.items()})
-
-    def embed_y(poly):
-        return VarPoly(k, {(0,) * n + ev: c for ev, c in poly.terms.items()})
-
-    def expansion_poly(f: SymExpansion, embed):
-        total = VarPoly(k)
-        fm = basis_convert(f, "m")
-        for lam, c in fm.coeffs:
-            mono = VarPoly(n)
-            for ev in set(itertools.permutations(lam + (0,) * (n - len(lam)))):
-                mono = mono + VarPoly(n, {ev: 1})
-            total = total + embed(mono) * c
-        return total
-
-    def pair(basis, weight):
-        total = VarPoly(k)
-        for lam in partitions_of(n):
-            fx = expansion_poly(single(n, basis, lam), embed_x)
-            fy = expansion_poly(single(n, basis, lam), embed_y)
-            total = total + (fx * fy) * weight(lam)
-        return total
-
-    hm = VarPoly(k)
-    for lam in partitions_of(n):
-        hx = expansion_poly(single(n, "h", lam), embed_x)
-        my = expansion_poly(single(n, "m", lam), embed_y)
-        hm = hm + hx * my
-    pp = pair("p", lambda lam: Fraction(1, z_lambda(lam)))
-    ss = pair("s", lambda lam: 1)
-    return hm, pp, ss

@@ -35,9 +35,10 @@ from .partitions import (
     _h_pair,
     _orbit_indexing_holds,
     _word_stats,
-    frame_stats,
+    frame_entries,
     length,
     normalize,
+    partition_of_frontier,
     partitions_of,
 )
 from .paths import (
@@ -128,16 +129,19 @@ def _claim(name, *params):
 
 # -- partition-statistic claims --------------------------------------------
 #
-# Each checker but conj_rat_qcat reads one frame_stats table: {frontier
-# word: (mu, |mu|, ml, h+, h-)} in enumerate_box order, with the triangle
-# where ml == 0. conj_rat_qcat needs only the triangle and walks the Dyck
-# words instead.
+# Each checker but conj_rat_qcat reads the box walk frame_entries: pairs
+# (frontier word, (mu, |mu|, ml, h+, h-)) in descending lexicographic word
+# order, with the triangle where ml == 0. A checker keeps of it only what it
+# needs. conj_rat_qcat needs only the triangle and walks the Dyck words
+# instead.
 
 
-def _frame_table(a, b, counters):
-    table = frame_stats(a, b)
-    counters["box_words"] = len(table)
-    return table
+def _box_entries(a, b, counters):
+    """frame_entries(a, b), counting the words it yields as box_words."""
+    counters["box_words"] = 0
+    for entry in frame_entries(a, b):
+        counters["box_words"] += 1
+        yield entry
 
 
 def _q_sum(exponents):
@@ -178,9 +182,10 @@ def check_conj_nonstd_qbin(a, b, counters):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
     target = q_binomial(a + b, a)
-    box = _frame_table(a, b, counters).values()
-    for tag, k in (("h+", 3), ("h-", 4)):  # k: where h sits in an entry
-        total = _q_sum(s[1] + s[2] + s[k] for s in box)
+    box = [(size + ml + hp, size + ml + hm)
+           for _, (_, size, ml, hp, hm) in _box_entries(a, b, counters)]
+    for tag, k in (("h+", 0), ("h-", 1)):
+        total = _q_sum(s[k] for s in box)
         if total != target:
             return {"variant": tag, "sum": total.to_json(),
                     "target": target.to_json()}
@@ -190,7 +195,7 @@ def check_conj_nonstd_qbin(a, b, counters):
 def check_thm_ratcat(a, b, counters):
     """Box sum factors as [a+b]_q times the triangle sum, and every orbit
     passes the fine shift-indexing check."""
-    table = _frame_table(a, b, counters)
+    table = dict(_box_entries(a, b, counters))
     triangle = {w: s for w, s in table.items() if s[2] == 0}
     box = _q_sum(size + ml + hp for _, size, ml, hp, _ in table.values())
     tri = _q_sum(size + hp for _, size, _, hp, _ in triangle.values())
@@ -207,8 +212,9 @@ def check_thm_ratcat(a, b, counters):
 
 @_claim("lem_h_via_labels", "a", "b")
 def check_lem_h_via_labels(a, b, counters):
-    """Arm/leg window counts match the frontier-level pair counts."""
-    for mu, _, _, hp, hm in _frame_table(a, b, counters).values():
+    """Arm/leg window counts match the frontier-level pair counts, checked
+    entry by entry as the box walk yields them."""
+    for _, (mu, _, _, hp, hm) in _box_entries(a, b, counters):
         arm_hp, arm_hm = _h_pair(mu, a, b)
         if arm_hp != hp:
             return {"mu": list(mu), "sign": "+"}
@@ -219,11 +225,11 @@ def check_lem_h_via_labels(a, b, counters):
 @_claim("lem_cyc_shift", "a", "b")
 def check_lem_cyc_shift(a, b, counters):
     """The h+ increment of one cyclic shift, via both stated formulas."""
-    table = _frame_table(a, b, counters)
+    h_plus_of = {w: s[3] for w, s in _box_entries(a, b, counters)}
     n = a + b
-    for w, (mu, _, _, hp, _) in table.items():
+    for w, hp in h_plus_of.items():
         lv = levels(w, a, b)
-        delta = table[cyclic_shift(w, 1)][3] - hp
+        delta = h_plus_of[cyclic_shift(w, 1)] - hp
         if w[0] == "N":
             f1 = sum(
                 1 for i in range(1, n + 1)
@@ -237,7 +243,8 @@ def check_lem_cyc_shift(a, b, counters):
             )
             f2 = -sum(1 for k in range(1, n + 1) if 1 <= -lv[k - 1] <= a)
         if not delta == f1 == f2:
-            return {"mu": list(mu), "delta": delta, "pairs": f1, "levels": f2}
+            return {"mu": list(partition_of_frontier(w, a, b)),
+                    "delta": delta, "pairs": f1, "levels": f2}
 
 
 # -- q,t-Catalan claims ----------------------------------------------------
@@ -270,6 +277,7 @@ def check_conj_abpf(a, b, counters):
     coefficient, the Hilbert specialization [b]_q^(a-1), and the Schroeder
     hook specialization."""
     series = pf_qt(a, b)
+    counters["schur_terms"] = len(series.coeffs)
     for lam, c in series.coeffs:
         if c != c.swap_q_t():
             return {"part": 1, "lam": list(lam), "coeff": c.to_json()}
@@ -350,6 +358,8 @@ def check_frobenius(a, b, counters):
     """The four Frobenius routes agree and carry the right dimension."""
     fm = basis_convert(frob_h(a, b), "m")
     fs = frob_s(a, b)
+    counters["schur_terms"] = len(fs.coeffs)
+    counters["partitions"] = sum(1 for _ in partitions_of(a))
     for tag, other in (
         ("p", basis_convert(frob_p(a, b), "m")),
         ("s", basis_convert(fs, "m")),
@@ -418,11 +428,6 @@ def _resorted(labels, runs):
     for run in runs:
         out += sorted(labels[run])
     return tuple(out)
-
-
-def _sorted_runs(word, labels):
-    """The labels re-sorted within each vertical run of word."""
-    return _resorted(labels, _run_slices(word, len(labels)))
 
 
 @_claim("qbin_recursion", "n")

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from ratcat.frob import (
     cat_qt,
     classical_cat_qt,
     classical_shuffle_side,
-    dimension_check,
     frob_h,
     frob_p,
     frob_s,
@@ -279,7 +279,7 @@ def test_frob_routes_agree():
             assert basis_convert(frob_p(a, b), "m") == fm
             assert basis_convert(frob_s(a, b), "m") == fm
             assert frob_via_genfunc(a, b) == fm
-            assert dimension_check(a, b)
+            assert hilbert_series(pf_qt(a, b)).evaluate() == b ** (a - 1)
 
 
 def test_frob_s_divisibility_check_survives_optimize():
@@ -296,6 +296,34 @@ def test_frob_s_divisibility_check_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
                          capture_output=True, text=True, check=True)
     assert out.stdout == "raised\n"
+
+
+def _varpoly_frob_via_genfunc(a, b):
+    """The frob_via_genfunc body the m-basis products replaced: each h_i an
+    explicit polynomial in a variables, the t-series truncated at degree a."""
+    k = max(a, 1)
+    base = [h_poly(i, k) for i in range(a + 1)]
+    series = [VarPoly.one(k)] + [VarPoly(k) for _ in range(a)]
+    for _ in range(b):
+        nxt = [VarPoly(k) for _ in range(a + 1)]
+        for i in range(a + 1):
+            if not series[i].terms:
+                continue
+            for j in range(a + 1 - i):
+                nxt[i + j] = nxt[i + j] + series[i] * base[j]
+        series = nxt
+    return varpoly_to_m(series[a] * Fraction(1, b), a)
+
+
+def test_frob_genfunc_matches_the_varpoly_route():
+    # the 27 pf frames of the sweep, and two frames with more variables
+    frames = [(a, b) for a in range(1, 5) for b in range(1, 10) if gcd(a, b) == 1]
+    frames += [(5, 8), (7, 4), (8, 3), (7, 9)]
+    assert len(frames) == 29
+    for a, b in frames:
+        got = frob_via_genfunc(a, b)
+        assert got == _varpoly_frob_via_genfunc(a, b), (a, b)
+        assert got == basis_convert(frob_h(a, b), "m"), (a, b)
 
 
 def test_frob_genfunc_single_car():

@@ -1,16 +1,20 @@
 """Partition statistics: frontiers, h windows, orbits."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratcat.partitions import (
     _h_pair,
+    _word_stats,
     arm_leg,
     conjugate,
     cshift_partition,
     enumerate_box,
     enumerate_triangle,
+    frame_entries,
     frame_stats,
     frontier,
     h_minus,
@@ -62,8 +66,6 @@ def test_z_lambda():
 
 
 def test_box_count():
-    from math import comb
-
     for s in range(6):
         for r in range(6):
             assert sum(1 for _ in enumerate_box(s, r)) == comb(s + r, s)
@@ -179,13 +181,25 @@ def _old_h_via_levels(w, a, b, sign):
     return count
 
 
+def _old_frame_stats(a, b):
+    """The frame_stats body the prefix-sharing walk replaced: one
+    _word_stats pass per box word, in enumerate_box order."""
+    table = {}
+    for mu in enumerate_box(a, b):
+        w = _old_frontier(mu, a, b)
+        table[w] = (mu, *_word_stats(w, a, b))
+    return table
+
+
 def test_frame_stats_matches_the_replaced_routes():
     for a in range(1, 8):
         for b in range(1, 8):
             table = frame_stats(a, b)
             box = list(enumerate_box(a, b))
-            assert list(table) == [_old_frontier(mu, a, b) for mu in box]
-            for w, mu in zip(table, box):
+            assert len(table) == len(box)
+            assert list(table) == sorted(table, reverse=True)
+            for mu in box:
+                w = _old_frontier(mu, a, b)
                 assert table[w] == (
                     mu,
                     sum(mu),
@@ -197,6 +211,16 @@ def test_frame_stats_matches_the_replaced_routes():
             assert {s[0] for s in table.values() if s[2] == 0} == set(
                 enumerate_triangle(a, b)
             )
+
+
+def test_frame_walk_matches_the_per_word_table():
+    frames = [(a, b) for a in range(9) for b in range(9)] + [(9, 10)]
+    for a, b in frames:
+        walked = list(frame_entries(a, b))
+        assert dict(walked) == _old_frame_stats(a, b), (a, b)
+        assert len(walked) == comb(a + b, a), (a, b)
+        assert [w for w, _ in walked] == sorted(
+            (w for w, _ in walked), reverse=True), (a, b)
 
 
 def test_level_wrappers_read_the_kernel():

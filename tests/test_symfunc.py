@@ -1,5 +1,6 @@
 """Symmetric function engine: expansions, conversions, pairings."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from ratcat.qt import LaurentQT
 from ratcat.symfunc import (
     SymExpansion,
     VarPoly,
+    _basis_in_m,
+    _m_product,
     basis_convert,
-    cauchy_slices,
     h_poly,
     hall_inner,
     hook_length_dim,
@@ -75,6 +77,28 @@ def test_varpoly_mul_matches_tuple_keys():
     # a product of products: keys and exponents larger than one operand's
     x = h_poly(3, 4) * p_poly(2, 4)
     assert (x * x).terms == _reference_mul(x, x)
+
+
+def test_basis_in_m_matches_the_varpoly_product():
+    # h_lam and p_lam as products of one-row pieces in n explicit variables,
+    # the route the dominant-monomial products replaced
+    for n in range(9):
+        for lam in partitions_of(n):
+            for basis, maker in (("h", h_poly), ("p", p_poly)):
+                poly = VarPoly.one(max(n, 1))
+                for part in lam:
+                    poly = poly * maker(part, max(n, 1))
+                assert _basis_in_m(basis, lam) == varpoly_to_m(poly, n), (
+                    basis, lam)
+
+
+def test_m_product_on_small_cases():
+    # m_1 * m_1 = m_2 + 2 m_11, m_1 * m_2 = m_3 + m_21
+    assert _m_product({(1,): 1}, {(1,): 1}, 1, 1) == {(2,): 1, (1, 1): 2}
+    assert _m_product({(1,): 1}, {(2,): 1}, 1, 2) == {(3,): 1, (2, 1): 1}
+    assert _m_product({(): 3}, {(2,): 1, (1, 1): -1}, 0, 2) == {
+        (2,): 3, (1, 1): -3}
+    assert _m_product({(1,): 1}, {}, 1, 2) == {}
 
 
 def test_varpoly_mul_stores_no_cancelled_term():
@@ -183,6 +207,48 @@ def test_hook_length_dim():
     assert hook_length_dim((3, 1)) == 3
     total = sum(hook_length_dim(lam) ** 2 for lam in partitions_of(5))
     assert total == 120
+
+
+def cauchy_slices(n):
+    """The three degree-n Cauchy kernels in x_1..x_n, y_1..y_n.
+
+    Returns (h*m, p*p/z, s*s) as VarPoly objects in 2n variables so callers
+    can assert they agree. Only tests use it, so it lives test-side.
+    """
+    k = 2 * n
+
+    def embed_x(poly):
+        return VarPoly(k, {ev + (0,) * n: c for ev, c in poly.terms.items()})
+
+    def embed_y(poly):
+        return VarPoly(k, {(0,) * n + ev: c for ev, c in poly.terms.items()})
+
+    def expansion_poly(f: SymExpansion, embed):
+        total = VarPoly(k)
+        fm = basis_convert(f, "m")
+        for lam, c in fm.coeffs:
+            mono = VarPoly(n)
+            for ev in set(itertools.permutations(lam + (0,) * (n - len(lam)))):
+                mono = mono + VarPoly(n, {ev: 1})
+            total = total + embed(mono) * c
+        return total
+
+    def pair(basis, weight):
+        total = VarPoly(k)
+        for lam in partitions_of(n):
+            fx = expansion_poly(single(n, basis, lam), embed_x)
+            fy = expansion_poly(single(n, basis, lam), embed_y)
+            total = total + (fx * fy) * weight(lam)
+        return total
+
+    hm = VarPoly(k)
+    for lam in partitions_of(n):
+        hx = expansion_poly(single(n, "h", lam), embed_x)
+        my = expansion_poly(single(n, "m", lam), embed_y)
+        hm = hm + hx * my
+    pp = pair("p", lambda lam: Fraction(1, z_lambda(lam)))
+    ss = pair("s", lambda lam: 1)
+    return hm, pp, ss
 
 
 def test_cauchy_identity():

@@ -5,9 +5,11 @@ import json
 from math import gcd
 
 import ratcat.verify
+from ratcat.frob import frob_s, pf_qt
 from ratcat.parking import _run_label_groups, enumerate_pf
 from ratcat.partitions import (
     _word_stats,
+    frame_entries,
     frame_stats,
     frontier,
     partition_of_frontier,
@@ -19,7 +21,6 @@ from ratcat.verify import (
     CheckReport,
     _fixed_point_counts,
     _perm_of_cycle_type,
-    _sorted_runs,
     check_bizley,
     check_conj_abpf,
     check_conj_nonstd_qbin,
@@ -171,18 +172,18 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
     mu = (2, 1)
     word = frontier(mu, 3, 5)
 
-    def changed(a, b):
-        table = frame_stats(a, b)
-        nu, size, ml, hp, hm = table[word]
-        assert (nu, ml) == (mu, 0)
-        table[word] = (nu, size, ml, hp + 1, hm + 1)
-        return table
+    def changed(a, b):  # the one box walk all four box checks read
+        for w, (nu, size, ml, hp, hm) in frame_entries(a, b):
+            if w == word:
+                assert (nu, ml) == (mu, 0)
+                hp, hm = hp + 1, hm + 1
+            yield w, (nu, size, ml, hp, hm)
 
     def changed_stats(w, a, b):  # the same change, for the Dyck-word walk
         size, ml, hp, hm = _word_stats(w, a, b)
         return (size, ml, hp + 1, hm + 1) if w == word else (size, ml, hp, hm)
 
-    monkeypatch.setattr(ratcat.verify, "frame_stats", changed)
+    monkeypatch.setattr(ratcat.verify, "frame_entries", changed)
     monkeypatch.setattr(ratcat.verify, "_word_stats", changed_stats)
     before = partition_of_frontier(cyclic_shift(word, -1), 3, 5)
     for chk in PARTITION_CHECKERS:
@@ -226,6 +227,12 @@ def test_conj_rat_qcat_raises_on_a_short_walk(monkeypatch):
     assert not report.passed
     assert report.witness["exception"] == "AssertionError"
     assert "walked 7 Dyck words" in report.witness["message"]
+
+
+def _sorted_runs(word, labels):
+    """The labels re-sorted within each vertical run of word."""
+    return tuple(x for run in _run_label_groups(word, labels)
+                 for x in sorted(run))
 
 
 def _per_cycle_type_counts(a, b):
@@ -300,3 +307,17 @@ def test_enumerating_checks_count_what_they_walked():
             assert report.counters == {"dyck_paths": count_dyck(a, b)}
             assert "counters" not in report.to_json()
             assert report.to_json(True)["counters"] == report.counters
+
+
+def test_pf_claims_count_schur_terms_and_partitions():
+    for a, b in [(1, 4), (3, 5), (4, 3), (5, 2)]:
+        schur_terms = len(pf_qt(a, b).coeffs)
+        report = check_conj_abpf(a, b)
+        assert report.passed
+        assert report.counters == {"schur_terms": schur_terms}
+        report = check_frobenius(a, b)
+        assert report.passed
+        assert report.counters == {
+            "schur_terms": len(frob_s(a, b).coeffs),
+            "partitions": len(list(partitions_of(a)))}
+        assert "counters" not in report.to_json()
