@@ -29,11 +29,7 @@ def length(mu):
 
 
 def conjugate(mu):
-    return _conjugate(normalize(mu))
-
-
-def _conjugate(mu):
-    """conjugate() of a partition already in canonical form."""
+    mu = normalize(mu)
     if not mu:
         return ()
     return tuple(sum(1 for p in mu if p >= j) for j in range(1, mu[0] + 1))
@@ -159,16 +155,28 @@ def h_minus(mu, a, b):
 
 
 def _h_pair(mu, a, b):
-    """(h+, h-) of a canonical partition, counted cell by cell from the
-    arm/leg windows; the route independent of the frontier levels."""
-    conj = _conjugate(mu)
+    """(h+, h-) of a canonical partition from the arm/leg windows of its
+    rows, added bottom-up; the route independent of the levels."""
+    heights = [0] * max(mu, default=0)
     hp = hm = 0
-    for i, p in enumerate(mu, start=1):
-        for j in range(1, p + 1):
-            v = a * (p - j) - b * (conj[j - 1] - i)
-            if -a < v <= b:
+    for p in reversed(mu):
+        dp, dm = _row_pairs(heights, p, a, b)
+        hp += dp
+        hm += dm
+        heights[:p] = [h + 1 for h in heights[:p]]
+    return hp, hm
+
+
+def _row_pairs(heights, x, a, b):
+    """(h+, h-) cells of a row of length x put on columns of heights
+    heights: column j has arm x-j and leg heights[j-1] (see h_plus)."""
+    hp = hm = 0
+    for arm, leg in zip(range(x - 1, -1, -1), heights):
+        v = a * arm - b * leg
+        if -a <= v <= b:
+            if v != -a:
                 hp += 1
-            if -a <= v < b:
+            if v != b:
                 hm += 1
     return hp, hm
 
@@ -225,7 +233,7 @@ def frame_entries(a, b):
     A depth-first walk over the steps, on a stack of immutable prefix
     states: words that share a prefix share its levels, its |mu| and its
     pair counts, and an N step adds only the pairs it makes with the E
-    levels already on the prefix (_north_pairs, as in _word_stats).
+    levels already on the prefix (_north_pairs).
     """
     n = a + b
     # word, E levels, N x-positions, |mu|, level, ml, h+, h-
@@ -246,13 +254,6 @@ def frame_entries(a, b):
             dp, dm = _north_pairs(easts, level, n)
             push((word + "N", easts, xs + (x,), size + x, level + b, low,
                   hp + dp, hm + dm))
-
-
-def frame_stats(a, b):
-    """{frontier word: (mu, |mu|, ml, h+, h-)} for every partition in the
-    a x b box, in frame_entries order (descending lexicographic words); the
-    triangle is where ml == 0."""
-    return dict(frame_entries(a, b))
 
 
 def min_level(mu, a, b):

@@ -8,7 +8,7 @@ import json
 import resource
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from math import gcd
 
 from .frob import (
@@ -32,8 +32,8 @@ from .parking import (
     zeta,
 )
 from .partitions import (
-    _h_pair,
     _orbit_indexing_holds,
+    _row_pairs,
     _word_stats,
     frame_entries,
     length,
@@ -44,10 +44,8 @@ from .partitions import (
 from .paths import (
     count_by_runs,
     count_dyck,
-    cyclic_shift,
     enumerate_dyck,
     enumerate_dyck_words,
-    levels,
     maj,
     run_structure,
     sweep,
@@ -129,11 +127,15 @@ def _claim(name, *params):
 
 # -- partition-statistic claims --------------------------------------------
 #
-# Each checker but conj_rat_qcat reads the box walk frame_entries: pairs
-# (frontier word, (mu, |mu|, ml, h+, h-)) in descending lexicographic word
-# order, with the triangle where ml == 0. A checker keeps of it only what it
-# needs. conj_rat_qcat needs only the triangle and walks the Dyck words
-# instead.
+# thm_ratcat, lem_h_via_labels and lem_cyc_shift read the box walk
+# frame_entries: pairs (frontier word, (mu, |mu|, ml, h+, h-)) in descending
+# lexicographic word order, with the triangle where ml == 0. A checker keeps
+# of it only what it needs. conj_nonstd_qbin needs only a histogram and
+# counts it off a leaner walk of the same steps (_box_histogram);
+# conj_rat_qcat needs only the triangle and walks the Dyck words instead.
+#
+# The walks below serve only these checkers, so they live here and not in
+# partitions.py, which every command imports and compiles.
 
 
 def _box_entries(a, b, counters):
@@ -144,12 +146,107 @@ def _box_entries(a, b, counters):
         yield entry
 
 
-def _q_sum(exponents):
-    """Sum of q^e over the given exponents, as one LaurentQT."""
-    counts = {}
-    for e in exponents:
-        counts[e] = counts.get(e, 0) + 1
-    return LaurentQT({(e, 0): c for e, c in counts.items()})
+def _box_histogram(a, b):
+    """{(|mu| + ml + h+, |mu| + ml + h-): how many partitions mu} over the
+    a x b box, counted off a depth-first walk of the frontier words with no
+    word, no mu and no entry per word.
+
+    A prefix keeps the levels its E steps start at as bits of one int, its
+    x, its N steps, its level, its minimum level and |mu| + h+, |mu| + h-.
+    An N step at level l adds x and its pairs (as in _north_pairs): h+
+    counts the E levels e with l < e <= l+n, h- those with l <= e < l+n,
+    n = a+b. Levels are multiples of g = gcd(a, b) and at most g E steps
+    start at one level, so the c-th of them is bit e + c (shifted by a*b to
+    stay nonnegative), and each window is one bit count. Once all a N steps
+    are down, the E steps left change none of these (the level falls to 0
+    and ml <= 0), so the prefix is counted there.
+    """
+    n, g, ab = a + b, gcd(a, b), a * b
+    window, field = (1 << n) - 1, (1 << g) - 1
+    hist = {}
+    stack = [(0, 0, 0, ab, 0, 0, 0)]  # E bits, x, N steps, level + ab, ml, sums
+    pop, push = stack.pop, stack.append
+    while stack:
+        easts, x, rows, pos, low, sp, sm = pop()
+        if rows == a:
+            key = (sp + low, sm + low)
+            hist[key] = hist.get(key, 0) + 1
+            continue
+        if x < b:
+            c = (easts >> pos & field).bit_count()
+            down = pos - a - ab
+            push((easts | 1 << (pos + c), x + 1, rows, pos - a,
+                  down if down < low else low, sp, sm))
+        dp = (easts >> (pos + g) & window).bit_count()
+        dm = (easts >> pos & window).bit_count()
+        push((easts, x, rows + 1, pos + b, low, sp + x + dp, sm + x + dm))
+    return hist
+
+
+def _arm_leg_walk(a, b):
+    """(mu, h+, h-) for every partition mu in the a x b box, in frame_entries
+    order, counted from the arm/leg windows; no level is read.
+
+    The walk takes the same steps (depth first, N child first). An N step at
+    x lays a row of length x on top of the rows already down, and the column
+    heights of those rows give the legs of its cells (_row_pairs, as in
+    _h_pair). The E steps after the last row change nothing, so a prefix
+    with a - 1 rows yields its leaves at once, one per length of that row.
+    """
+    if not a:
+        yield (), 0, 0
+        return
+    stack = [((), (0,) * b, 0, 0, 0, 0)]  # mu, column heights, x, rows, h+, h-
+    pop, push = stack.pop, stack.append
+    while stack:
+        mu, heights, x, rows, hp, hm = pop()
+        if rows == a - 1:
+            for y in range(x, b + 1):
+                dp, dm = _row_pairs(heights, y, a, b)
+                yield ((y,) + mu if y else mu), hp + dp, hm + dm
+            continue
+        if x < b:  # pushed first, so the N child is walked first
+            push((mu, heights, x + 1, rows, hp, hm))
+        if x:
+            dp, dm = _row_pairs(heights, x, a, b)
+            push(((x,) + mu, tuple([h + 1 for h in heights[:x]]) + heights[x:],
+                  x, rows + 1, hp + dp, hm + dm))
+        else:
+            push((mu, heights, x, rows + 1, hp, hm))
+
+
+def _shift_increments(w, a, b):
+    """(pairs, levels): the two formulas of the cyclic-shift lemma for the
+    h+ increment from w to w[1:] + w[0], in one pass over the steps.
+
+    With l the level before each step and n = a + b: if w starts with N,
+    pairs counts the E steps with 1 <= l <= n and levels the steps with
+    1 <= l <= b; if it starts with E, pairs is minus the count of N steps
+    with 1 <= -l <= n and levels minus the count of steps with 1 <= -l <= a.
+    """
+    n = a + b
+    if w[0] == "N":  # v = l
+        sign, partner, top, up, down = 1, "E", b, b, -a
+    else:  # v = -l
+        sign, partner, top, up, down = -1, "N", a, -b, a
+    v = pairs = lv = 0
+    for step in w:
+        if 1 <= v <= n:
+            if step == partner:
+                pairs += 1
+            if v <= top:
+                lv += 1
+        v += up if step == "N" else down
+    return sign * pairs, sign * lv
+
+
+def _q_sum(exponents, counts=repeat(1)):
+    """Sum of c q^e over the exponents e with their counts c (one each by
+    default), as one LaurentQT."""
+    poly = {}
+    for e, c in zip(exponents, counts):
+        poly[e] = poly.get(e, 0) + c
+    return LaurentQT({(e, 0): c for e, c in poly.items()})
 
 
 @_claim("conj_rat_qcat", "a", "b")
@@ -182,10 +279,10 @@ def check_conj_nonstd_qbin(a, b, counters):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
     target = q_binomial(a + b, a)
-    box = [(size + ml + hp, size + ml + hm)
-           for _, (_, size, ml, hp, hm) in _box_entries(a, b, counters)]
+    hist = _box_histogram(a, b)
+    counters["box_words"] = sum(hist.values())
     for tag, k in (("h+", 0), ("h-", 1)):
-        total = _q_sum(s[k] for s in box)
+        total = _q_sum((key[k] for key in hist), hist.values())
         if total != target:
             return {"variant": tag, "sum": total.to_json(),
                     "target": target.to_json()}
@@ -213,9 +310,12 @@ def check_thm_ratcat(a, b, counters):
 @_claim("lem_h_via_labels", "a", "b")
 def check_lem_h_via_labels(a, b, counters):
     """Arm/leg window counts match the frontier-level pair counts, checked
-    entry by entry as the box walk yields them."""
-    for _, (mu, _, _, hp, hm) in _box_entries(a, b, counters):
-        arm_hp, arm_hm = _h_pair(mu, a, b)
+    entry by entry as the two walks yield them in step."""
+    walks = zip(_box_entries(a, b, counters), _arm_leg_walk(a, b), strict=True)
+    for (_, (mu, _, _, hp, hm)), (arm_mu, arm_hp, arm_hm) in walks:
+        if arm_mu != mu:
+            raise AssertionError(
+                f"the arm/leg walk is at {arm_mu}, the box walk at {mu}")
         if arm_hp != hp:
             return {"mu": list(mu), "sign": "+"}
         if arm_hm != hm:
@@ -226,22 +326,9 @@ def check_lem_h_via_labels(a, b, counters):
 def check_lem_cyc_shift(a, b, counters):
     """The h+ increment of one cyclic shift, via both stated formulas."""
     h_plus_of = {w: s[3] for w, s in _box_entries(a, b, counters)}
-    n = a + b
     for w, hp in h_plus_of.items():
-        lv = levels(w, a, b)
-        delta = h_plus_of[cyclic_shift(w, 1)] - hp
-        if w[0] == "N":
-            f1 = sum(
-                1 for i in range(1, n + 1)
-                if w[i - 1] == "E" and 1 <= lv[i - 1] <= n
-            )
-            f2 = sum(1 for k in range(1, n + 1) if 1 <= lv[k - 1] <= b)
-        else:
-            f1 = -sum(
-                1 for j in range(1, n + 1)
-                if w[j - 1] == "N" and 1 <= -lv[j - 1] <= n
-            )
-            f2 = -sum(1 for k in range(1, n + 1) if 1 <= -lv[k - 1] <= a)
+        delta = h_plus_of[w[1:] + w[0]] - hp
+        f1, f2 = _shift_increments(w, a, b)
         if not delta == f1 == f2:
             return {"mu": list(partition_of_frontier(w, a, b)),
                     "delta": delta, "pairs": f1, "levels": f2}
@@ -336,10 +423,10 @@ def check_prop_multinomial(a, b, counters):
 @_claim("bizley_counts", "a", "b")
 def check_bizley(a, b, counters):
     """|D(N^a E^b)| = (a+b-1)!/(a! b!) and |PF_{a,b}| = b^(a-1)."""
-    paths = sum(1 for _ in enumerate_dyck(a, b))
+    paths = counters["dyck_paths"] = sum(1 for _ in enumerate_dyck(a, b))
     if paths != count_dyck(a, b):
         return {"paths": paths}
-    pfs = sum(1 for _ in enumerate_pf(a, b))
+    pfs = counters["parking_functions"] = sum(1 for _ in enumerate_pf(a, b))
     if pfs != b ** (a - 1):
         return {"pfs": pfs}
 
@@ -347,8 +434,10 @@ def check_bizley(a, b, counters):
 @_claim("dinv_eq_area_prime_zeta", "n")
 def check_dinv_zeta(n, counters):
     """dinv(P) = area'(zeta(P)) over all classical parking functions."""
+    counters["parking_functions"] = 0
     for d in enumerate_dyck(n, n):
         for pf in labelings_of(d):
+            counters["parking_functions"] += 1
             if dinv_classical(pf) != area_prime(zeta(pf)):
                 return pf.to_json()
 
@@ -388,22 +477,39 @@ def check_fixed_points(a, b, counters):
 
 def _fixed_point_counts(a, b, counters):
     """{lam: how many (a,b)-parking functions a permutation of cycle type
-    lam fixes}, in partitions_of(a) order, counted for every lam in one pass
-    over the label tuples of each Dyck path."""
-    sigmas = {lam: _perm_of_cycle_type(lam) for lam in partitions_of(a)}
-    fixed = dict.fromkeys(sigmas, 0)
-    pfs = 0
+    lam fixes}, in partitions_of(a) order, by brute force over every
+    labeling of every Dyck path.
+
+    sigma fixes a parking function exactly when it maps the label set of
+    each vertical run onto itself. With img[m] the image under sigma_k of
+    the subset with bitmask m, stab[m] has bit k set when img[m] == m; a
+    labeling is fixed by the sigma_k whose bit is in stab of every run.
+    """
+    lams = list(partitions_of(a))
+    stab = [0] * (1 << a)  # subset bitmask -> bitmask of the lams fixing it
+    for k, lam in enumerate(lams):
+        sigma = _perm_of_cycle_type(lam)
+        img = [0] * (1 << a)
+        for m in range(1, 1 << a):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << (sigma[low.bit_length()] - 1)
+            if img[m] == m:
+                stab[m] |= 1 << k
+    # a run's labels increase, so its label set is keyed by their tuple
+    stab_of = {tuple(x for x in range(1, a + 1) if m >> (x - 1) & 1): s
+               for m, s in enumerate(stab)}
+    everyone = (1 << len(lams)) - 1
+    hist = {}  # bitmask of the lams fixing a labeling -> how many labelings
     for d in enumerate_dyck(a, b):
         runs = _run_slices(d.word, a)
         for labels in _label_tuples(d):
-            pfs += 1
-            for lam, sigma in sigmas.items():
-                # sigma sends the parking function to the one with the
-                # relabeled labels re-sorted within each vertical run
-                if _resorted([sigma[x] for x in labels], runs) == labels:
-                    fixed[lam] += 1
-    counters["parking_functions"] = pfs
-    return fixed
+            fixers = everyone
+            for run in runs:
+                fixers &= stab_of[labels[run]]
+            hist[fixers] = hist.get(fixers, 0) + 1
+    counters["parking_functions"] = sum(hist.values())
+    return {lam: sum(c for f, c in hist.items() if f >> k & 1)
+            for k, lam in enumerate(lams)}
 
 
 def _perm_of_cycle_type(lam):
@@ -422,26 +528,15 @@ def _run_slices(word, a):
     return [slice(run[0], run[-1] + 1) for run in _run_label_groups(word, range(a))]
 
 
-def _resorted(labels, runs):
-    """The labels re-sorted within each run slice."""
-    out = []
-    for run in runs:
-        out += sorted(labels[run])
-    return tuple(out)
-
-
 @_claim("qbin_recursion", "n")
 def check_qbin_recursion(n, counters):
     """Both standard q-binomial recursions at total degree n."""
+    row = [q_binomial(n - 1, s) for s in range(n)]
     for s in range(1, n):
         r = n - s
         lhs = q_binomial(n, s)
-        one = LaurentQT.monomial(s, 0) * q_binomial(n - 1, s) + q_binomial(
-            n - 1, s - 1
-        )
-        two = q_binomial(n - 1, s) + LaurentQT.monomial(r, 0) * q_binomial(
-            n - 1, s - 1
-        )
+        one = LaurentQT.monomial(s, 0) * row[s] + row[s - 1]
+        two = row[s] + LaurentQT.monomial(r, 0) * row[s - 1]
         if not lhs == one == two:
             return {"s": s, "r": r}
 

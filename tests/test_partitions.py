@@ -15,7 +15,6 @@ from ratcat.partitions import (
     enumerate_box,
     enumerate_triangle,
     frame_entries,
-    frame_stats,
     frontier,
     h_minus,
     h_plus,
@@ -33,6 +32,7 @@ from ratcat.partitions import (
     z_lambda,
 )
 from ratcat.paths import levels
+from ratcat.verify import _arm_leg_walk
 
 partition_st = st.lists(
     st.integers(0, 6), min_size=0, max_size=6
@@ -191,6 +191,13 @@ def _old_frame_stats(a, b):
     return table
 
 
+def frame_stats(a, b):
+    """{frontier word: (mu, |mu|, ml, h+, h-)} for every partition in the
+    a x b box, in frame_entries order (descending lexicographic words); the
+    triangle is where ml == 0."""
+    return dict(frame_entries(a, b))
+
+
 def test_frame_stats_matches_the_replaced_routes():
     for a in range(1, 8):
         for b in range(1, 8):
@@ -234,3 +241,36 @@ def test_level_wrappers_read_the_kernel():
         h_via_levels((), 2, 3, "*")
     with pytest.raises(ValueError):
         min_level((4,), 2, 3)  # does not fit in the box
+
+
+# -- the cell-by-cell arm/leg count the row walks replaced ------------------
+
+
+def _old_h_pair(mu, a, b):
+    """The _h_pair body before it laid rows on column heights: each cell's
+    arm and leg read off mu and its conjugate."""
+    conj = conjugate(mu)
+    hp = hm = 0
+    for i, p in enumerate(mu, start=1):
+        for j in range(1, p + 1):
+            v = a * (p - j) - b * (conj[j - 1] - i)
+            if -a < v <= b:
+                hp += 1
+            if -a <= v < b:
+                hm += 1
+    return hp, hm
+
+
+ARM_LEG_FRAMES = [(a, b) for a in range(1, 9) for b in range(1, 9)] + [(9, 10)]
+
+
+def test_arm_leg_routes_match_the_cell_by_cell_count():
+    # _h_pair and the row walk both lay rows on column heights; the walk
+    # yields every mu of the box, in frame_entries order
+    for a, b in ARM_LEG_FRAMES:
+        want = [(mu, *_old_h_pair(mu, a, b)) for _, (mu, *_) in frame_entries(a, b)]
+        assert list(_arm_leg_walk(a, b)) == want, (a, b)
+        for mu, hp, hm in want:
+            assert _h_pair(mu, a, b) == (hp, hm), (mu, a, b)
+    for b in range(4):  # a = 0: the empty partition only
+        assert list(_arm_leg_walk(0, b)) == [((), 0, 0)]

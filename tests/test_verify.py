@@ -6,21 +6,23 @@ from math import gcd
 
 import ratcat.verify
 from ratcat.frob import frob_s, pf_qt
-from ratcat.parking import _run_label_groups, enumerate_pf
+from ratcat.parking import _label_tuples, _run_label_groups, enumerate_pf
 from ratcat.partitions import (
     _word_stats,
     frame_entries,
-    frame_stats,
     frontier,
     partition_of_frontier,
     partitions_of,
 )
-from ratcat.paths import count_dyck, cyclic_shift, enumerate_dyck
+from ratcat.paths import count_dyck, cyclic_shift, enumerate_dyck, levels
 from ratcat.verify import (
     CLAIMS,
     CheckReport,
+    _box_histogram,
     _fixed_point_counts,
     _perm_of_cycle_type,
+    _run_slices,
+    _shift_increments,
     check_bizley,
     check_conj_abpf,
     check_conj_nonstd_qbin,
@@ -183,8 +185,12 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
         size, ml, hp, hm = _word_stats(w, a, b)
         return (size, ml, hp + 1, hm + 1) if w == word else (size, ml, hp, hm)
 
+    def changed_histogram(a, b):  # the same change, for the histogram walk
+        return _histogram_of(changed(a, b))
+
     monkeypatch.setattr(ratcat.verify, "frame_entries", changed)
     monkeypatch.setattr(ratcat.verify, "_word_stats", changed_stats)
+    monkeypatch.setattr(ratcat.verify, "_box_histogram", changed_histogram)
     before = partition_of_frontier(cyclic_shift(word, -1), 3, 5)
     for chk in PARTITION_CHECKERS:
         report = chk(3, 5)
@@ -197,7 +203,7 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
 def test_triangle_frontier_words_are_the_dyck_words():
     # conj_rat_qcat walks the Dyck words in place of the box table's triangle
     for a, b in [(3, 5), (5, 3), (4, 7), (6, 6), (4, 6)]:
-        triangle = {w: s[1:] for w, s in frame_stats(a, b).items() if s[2] == 0}
+        triangle = {w: s[1:] for w, s in frame_entries(a, b) if s[2] == 0}
         walked = {d.word: _word_stats(d.word, a, b) for d in enumerate_dyck(a, b)}
         assert walked == triangle, (a, b)
 
@@ -307,6 +313,11 @@ def test_enumerating_checks_count_what_they_walked():
             assert report.counters == {"dyck_paths": count_dyck(a, b)}
             assert "counters" not in report.to_json()
             assert report.to_json(True)["counters"] == report.counters
+        assert check_bizley(a, b).counters == {
+            "dyck_paths": count_dyck(a, b), "parking_functions": b ** (a - 1)}
+    for n in range(1, 6):
+        assert check_dinv_zeta(n).counters == {
+            "parking_functions": (n + 1) ** (n - 1)}
 
 
 def test_pf_claims_count_schur_terms_and_partitions():
@@ -321,3 +332,98 @@ def test_pf_claims_count_schur_terms_and_partitions():
             "schur_terms": len(frob_s(a, b).coeffs),
             "partitions": len(list(partitions_of(a)))}
         assert "counters" not in report.to_json()
+
+
+def _histogram_of(entries):
+    """{(|mu| + ml + h+, |mu| + ml + h-): count} over box walk entries."""
+    hist = {}
+    for _, (_, size, ml, hp, hm) in entries:
+        key = (size + ml + hp, size + ml + hm)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def test_box_histogram_matches_the_box_walk():
+    frames = [(a, b) for a in range(1, 9) for b in range(9)] + [(9, 10)]
+    for a, b in frames:
+        assert _box_histogram(a, b) == _histogram_of(frame_entries(a, b)), (a, b)
+    assert check_conj_nonstd_qbin(4, 6).counters == {"box_words": 210}
+
+
+def test_an_out_of_step_arm_leg_walk_fails_as_an_exception(monkeypatch):
+    real = ratcat.verify._arm_leg_walk
+
+    def skipping(a, b):  # drops the first partition, so mu is out of step
+        walk = real(a, b)
+        next(walk)
+        return walk
+
+    def longer(a, b):  # one entry past the end of the box walk
+        yield from real(a, b)
+        yield (), 0, 0
+
+    for walk, error in ((skipping, AssertionError), (longer, ValueError)):
+        monkeypatch.setattr(ratcat.verify, "_arm_leg_walk", walk)
+        report = check_lem_h_via_labels(3, 5)
+        assert not report.passed
+        assert isinstance(report.error, error)
+        assert report.witness["exception"] == error.__name__
+
+
+def _old_shift_formulas(w, a, b):
+    """(pairs, levels) of the cyclic-shift lemma as lem_cyc_shift computed
+    them before the one-pass scan: indexed scans over levels(w)."""
+    lv = levels(w, a, b)
+    n = a + b
+    if w[0] == "N":
+        f1 = sum(
+            1 for i in range(1, n + 1)
+            if w[i - 1] == "E" and 1 <= lv[i - 1] <= n
+        )
+        f2 = sum(1 for k in range(1, n + 1) if 1 <= lv[k - 1] <= b)
+    else:
+        f1 = -sum(
+            1 for j in range(1, n + 1)
+            if w[j - 1] == "N" and 1 <= -lv[j - 1] <= n
+        )
+        f2 = -sum(1 for k in range(1, n + 1) if 1 <= -lv[k - 1] <= a)
+    return f1, f2
+
+
+def test_shift_increments_match_the_level_formulas():
+    for a, b in _coprime_box(8, 8):
+        for w, _ in frame_entries(a, b):
+            assert _shift_increments(w, a, b) == _old_shift_formulas(w, a, b), w
+            assert w[1:] + w[0] == cyclic_shift(w, 1)
+
+
+def _resorted(labels, runs):
+    """The labels re-sorted within each run slice."""
+    out = []
+    for run in runs:
+        out += sorted(labels[run])
+    return tuple(out)
+
+
+def _relabel_and_resort_counts(a, b):
+    """The _fixed_point_counts body before run-set stabilisers: each
+    labeling relabeled by every sigma and re-sorted within its runs."""
+    sigmas = {lam: _perm_of_cycle_type(lam) for lam in partitions_of(a)}
+    fixed = dict.fromkeys(sigmas, 0)
+    for d in enumerate_dyck(a, b):
+        runs = _run_slices(d.word, a)
+        for labels in _label_tuples(d):
+            for lam, sigma in sigmas.items():
+                if _resorted([sigma[x] for x in labels], runs) == labels:
+                    fixed[lam] += 1
+    return fixed
+
+
+def test_fixed_point_bitmasks_match_relabel_and_resort():
+    for a, b in _coprime_box(5, 8) + [(6, 5)]:
+        counters = {}
+        counts = _fixed_point_counts(a, b, counters)
+        want = _relabel_and_resort_counts(a, b)
+        assert counts == want, (a, b)
+        assert list(counts) == list(want)
+        assert counters == {"parking_functions": b ** (a - 1)}
