@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from contextlib import nullcontext
 from math import gcd
 from pathlib import Path
@@ -215,6 +214,8 @@ def _dispatch(args):
     elif args.command == "verify":
         # imported here: no other command needs the checkers, and compiling
         # them adds to the peak memory of every other command
+        import traceback
+
         from .verify import CLAIMS, reports_to_jsonl, run_sweep
 
         if args.claim != "all" and args.claim not in CLAIMS:

@@ -7,14 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .parking import (
-    _classical_terms,
-    _dinv,
-    _ides_mask,
-    _label_tuples,
-    _ranks,
-    _rational_terms,
-)
+from .parking import _classical_terms, _ranks, _rational_terms, _run_label_groups
 from .partitions import multiplicities, partitions_of, z_lambda
 from .paths import area, east_counts, enumerate_dyck, sweep
 from .qt import LaurentQT, exact_quotient
@@ -142,16 +135,66 @@ def _shuffle_schur(a, b, path_terms, where):
 
 
 def _descent_histogram(a, b, path_terms):
-    """{(IDes bitmask, area, dinv): how many parking functions}, counted on
-    the raw label tuples of each path."""
+    """{(IDes bitmask, area, dinv): how many parking functions}.
+
+    On each path the labels 1..a are placed in turn, each on the lowest free
+    north step of some run. Labels increase up a run, so a labeling is the
+    sequence of runs its labels 1..a fall in: the walk visits each labeling
+    once, and scores a prefix shared by many labelings once. Rows are bits:
+    `avail` holds the lowest free row of each run that has one, `filled`
+    the rows that carry a smaller label. Label k on row r adds to dinv the
+    pairs (i, r) with i filled, and sets IDes bit k-2 iff r comes before
+    the row of label k-1 in the reading order. The last label takes the one
+    row left, so it is placed with the label before it. A dinv outside
+    0..bound raises AssertionError, also under python -O.
+    """
     hist = {}
+    full = (1 << a) - 1
+    top = 1 << a >> 2  # IDes bit of the last label
+    last = a - 1
     for d in enumerate_dyck(a, b):
+        offset, bound, pairs, order = path_terms(d)
+        rank = _ranks(order)
+        into = [0] * a  # into[j]: bitmask of the rows i with (i, j) a pair
+        for i, j in pairs:
+            into[j] |= 1 << i
+        succ = [0] * a  # succ[r]: bit of the row above r in its run, if any
+        starts = 0
+        for run in _run_label_groups(d.word, range(a)):
+            starts |= 1 << run[0]
+            for r in run[:-1]:
+                succ[r] = 1 << (r + 1)
+        counts = {}  # (IDes bitmask, dinv) -> count on this path
+
+        def place(k, filled, avail, prev, dv, mask):
+            # label k goes on a row of avail; label k-1 sits on row prev
+            before = rank[prev]
+            bit = 1 << k >> 2  # IDes bit k-2; none for k = 1
+            todo = avail
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                r = low.bit_length() - 1
+                v = dv + (into[r] & filled).bit_count()
+                m = mask | bit if rank[r] < before else mask
+                if k == last:
+                    s = (full ^ filled ^ low).bit_length() - 1
+                    key = (m | top if rank[s] < rank[r] else m,
+                           v + into[s].bit_count())
+                    counts[key] = counts.get(key, 0) + 1
+                else:
+                    place(k + 1, filled | low, avail ^ low | succ[r], r, v, m)
+
+        if a == 1:
+            counts[0, offset] = 1
+        else:
+            place(1, 0, starts, 0, offset, 0)
         ar = area(d)
-        terms = path_terms(d)
-        rank = _ranks(terms[3])
-        for labels in _label_tuples(d):
-            key = (_ides_mask(labels, rank), ar, _dinv(labels, terms))
-            hist[key] = hist.get(key, 0) + 1
+        for (mask, dv), count in counts.items():
+            if not 0 <= dv <= bound:
+                raise AssertionError(f"dinv {dv} outside 0..{bound} on path {d.word}")
+            key = (mask, ar, dv)
+            hist[key] = hist.get(key, 0) + count
     return hist
 
 

@@ -7,12 +7,14 @@ constructor validates. The labelings of a path are walked as raw label
 tuples (_label_tuples); labelings_of wraps each in the trusted constructor,
 which skips the checks, as does the stretch P'' below.
 
-Each statistic has one formula, read off per-path terms (dinv offset, dinv
-bound, window pairs, reading order) computed once per path: dinv is the
+Each statistic has one formula here, read off per-path terms (dinv offset,
+dinv bound, window pairs, reading order) computed once per path: dinv is the
 offset plus the window pairs (i, j) with p_i < p_j, and IDes is read off the
-label positions in reading order. The q,t-series kernel in frob applies the
-same helpers to label tuples, and the ParkingFunction statistics apply them
-to one parking function.
+label positions in reading order. The ParkingFunction statistics apply these
+helpers to one parking function. The q,t-series kernel in frob reads the same
+terms but computes both statistics a second way, incrementally as it places
+the labels 1..a on a path; these per-PF statistics are the independent
+reference that the kernel is tested against.
 
 Rational dinv is read off the levels at the feet of the north steps, as
 tdinv(P) - maxtdinv(D) + d(P) (Armstrong-Loehr-Warrington, section 5).
@@ -146,7 +148,8 @@ def labelings_of(d: DyckPath):
 def _label_tuples(d: DyckPath):
     """The label tuples of the parking functions on d, bottom to top, in
     lexicographic order: each run takes a combination of the labels left
-    over, and the last run takes the rest."""
+    over, and the last run takes the rest. Read by labelings_of (so by the
+    public per-PF statistics) and by verify's fixed-point counts."""
     sizes = [len(g) for g in _run_label_groups(d.word, range(d.a))]
     last = max(len(sizes) - 1, 0)
 

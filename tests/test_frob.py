@@ -217,7 +217,8 @@ def per_pf_histogram(a, b, reading_word, dinv):
     return hist
 
 
-@pytest.mark.parametrize("a,b", [(5, 8), (6, 7), (7, 5)])
+@pytest.mark.parametrize("a,b", [(5, 8), (6, 7), (7, 5), (1, 4), (4, 1),
+                                 (2, 1), (1, 2), (2, 3), (5, 3)])
 @pytest.mark.parametrize("descending", [False, True])
 def test_kernel_histogram_matches_per_pf_statistics(a, b, descending):
     step = -1 if descending else 1
@@ -231,6 +232,38 @@ def test_kernel_histogram_matches_per_pf_statistics(a, b, descending):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kernel_histogram_matches_per_pf_statistics_classical(n):
     want = per_pf_histogram(n, n, old_drw_classical, old_dinv_classical)
+    assert _descent_histogram(n, n, _classical_terms) == want
+
+
+# -- the per-label-tuple kernel the label walk replaced ----------------------
+
+
+def old_descent_histogram(a, b, path_terms):
+    """{(IDes bitmask, area, dinv): count}, scoring each label tuple of each
+    path with the per-PF helpers."""
+    hist = {}
+    for d in enumerate_dyck(a, b):
+        ar = area(d)
+        terms = path_terms(d)
+        rank = parking._ranks(terms[3])
+        for labels in parking._label_tuples(d):
+            key = (parking._ides_mask(labels, rank), ar, parking._dinv(labels, terms))
+            hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("a,b", [(5, 8), (6, 7), (7, 5), (7, 4)])
+@pytest.mark.parametrize("descending", [False, True])
+def test_label_walk_matches_the_per_tuple_kernel(a, b, descending):
+    def terms(d):
+        return _rational_terms(d, descending)
+
+    assert _descent_histogram(a, b, terms) == old_descent_histogram(a, b, terms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_label_walk_matches_the_per_tuple_kernel_classical(n):
+    want = old_descent_histogram(n, n, _classical_terms)
     assert _descent_histogram(n, n, _classical_terms) == want
 
 

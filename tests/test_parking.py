@@ -121,12 +121,14 @@ def test_dinv_range_check_survives_optimize():
     assert out.stdout == "raised\n"
 
 
-def test_kernel_dinv_range_check_survives_optimize():
-    # the same forced value reached through the q,t-series kernel
+@pytest.mark.parametrize("maxtdinv", [99, -99], ids=["below", "above"])
+def test_kernel_dinv_range_check_survives_optimize(maxtdinv):
+    # forced values reached through the q,t-series kernel: maxtdinv 99 puts
+    # dinv below 0, maxtdinv -99 puts it at 99, above its bound d(P) = 0
     code = (
         "import ratcat.parking as p\n"
         "import ratcat.frob as f\n"
-        "p._path_terms = lambda d: (0, 99, (), tuple(range(d.a)))\n"
+        f"p._path_terms = lambda d: (0, {maxtdinv}, (), tuple(range(d.a)))\n"
         "try:\n"
         "    f.pf_qt(2, 3)\n"
         "except AssertionError:\n"
