@@ -1,9 +1,9 @@
 """Command-line front end: compute, render, verify, and regenerate the
 checked-in golden tables.
 
-`verify` runs its checks one after another and writes one JSONL line per
-check as it finishes; `verify <claim>` runs only that claim's checks.
-`--threads` is accepted and ignored.
+`verify` runs its checks on `--threads` processes (default: the usable
+processors) and writes one JSONL line per check, in order, as soon as it
+is done; `verify <claim>` runs only that claim's checks.
 
 Exit codes: 0 success, 1 verification failure or a closed output pipe,
 2 bad user input (found before any computation starts), 3 computation
@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from math import gcd
 from pathlib import Path
 
@@ -97,7 +97,9 @@ def main(argv=None):
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int,
-                        help="accepted and ignored; checks run one at a time")
+                        default=len(os.sched_getaffinity(0)),
+                        help="processes verify runs its checks on "
+                             "(default: the usable processors)")
     common.add_argument("--format", choices=["json", "matrix", "tex"],
                         default="matrix")
     common.add_argument("--out", metavar="FILE")
@@ -138,11 +140,8 @@ def main(argv=None):
              "and sweep_injective; every other claim runs at fixed frames "
              "(see README)")
     p.add_argument("--timings", action="store_true",
-                   help="add each check's seconds and the process's peak "
-                        "RSS, and the objects a check enumerated: box or "
-                        "Dyck words for the partition claims, Dyck paths "
-                        "for sweep_injective and prop_multinomial, parking "
-                        "functions for fixed_points")
+                   help="add each check's seconds, the peak RSS so far and "
+                        "the objects it enumerated (see README)")
 
     add_parser("golden", help="regenerate golden tables and diff "
                                   "against the checked-in corpus")
@@ -171,6 +170,8 @@ def _dispatch(args):
     """Validate the user's input, then run the command. Every check on the
     input raises _UsageError; what a computation raises is not the user's."""
     fmt = args.format
+    if args.threads < 1:
+        raise _UsageError(f"--threads {args.threads} must be at least 1")
     if hasattr(args, "a"):
         if args.a <= 0 or args.b <= 0:
             raise _UsageError(f"frame ({args.a},{args.b}) must be positive")
@@ -212,10 +213,7 @@ def _dispatch(args):
         _emit(json.dumps({"word": r.word,
                           "diagonal_word": list(r.diagonal_word)}), args.out)
     elif args.command == "verify":
-        # imported here: no other command needs the checkers, and compiling
-        # them adds to the peak memory of every other command
-        import traceback
-
+        # imported here: compiling it adds to every other command's peak RSS
         from .verify import CLAIMS, reports_to_jsonl, run_sweep
 
         if args.claim != "all" and args.claim not in CLAIMS:
@@ -224,12 +222,13 @@ def _dispatch(args):
         if args.bound < 1:
             raise _UsageError(f"--range {args.bound} must be at least 1")
         code = 0
-        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-            for report in run_sweep(limit=args.bound, claim=args.claim):
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out, \
+                closing(run_sweep(args.bound, args.claim, args.threads)) as reps:
+            for report in reps:
                 out.write(reports_to_jsonl([report], args.timings) + "\n")
                 out.flush()
                 if report.error is not None:
-                    traceback.print_exception(report.error)
+                    sys.stderr.write(report.error)
                     code = 3
                 elif not report.passed:
                     code = max(code, 1)

@@ -231,29 +231,32 @@ def frame_entries(a, b):
     a x b box, the words in descending lexicographic order (N before E).
 
     A depth-first walk over the steps, on a stack of immutable prefix
-    states: words that share a prefix share its levels, its |mu| and its
-    pair counts, and an N step adds only the pairs it makes with the E
-    levels already on the prefix (_north_pairs).
+    states. The E levels of a prefix are bits of one int: levels are
+    multiples of g = gcd(a, b), at most g E steps start at one level, and
+    the c-th of them is bit level + a*b + c. An N step's pairs (as in
+    _north_pairs) are then two bit counts. Once all a N steps are down, the
+    E steps left change no statistic, so the word is finished at once.
     """
-    n = a + b
-    # word, E levels, N x-positions, |mu|, level, ml, h+, h-
-    stack = [("", (), (), 0, 0, 0, 0, 0)]
+    g, ab = gcd(a, b), a * b
+    window, field = (1 << (a + b)) - 1, (1 << g) - 1
+    # word, E level bits, N x-positions, |mu|, level + ab, ml, h+, h-
+    stack = [("", 0, (), 0, ab, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        word, easts, xs, size, level, low, hp, hm = pop()
-        x = len(easts)
-        if len(word) == n:
-            yield word, (tuple([p for p in reversed(xs) if p]),
-                         size, low, hp, hm)
+        word, easts, xs, size, pos, low, hp, hm = pop()
+        x = len(word) - len(xs)
+        if len(xs) == a:
+            yield word + "E" * (b - x), (tuple([p for p in reversed(xs) if p]),
+                                         size, low, hp, hm)
             continue
         if x < b:  # pushed first, so the N child is walked first
-            down = level - a
-            push((word + "E", easts + (level,), xs, size, down,
+            c = (easts >> pos & field).bit_count()
+            down = pos - a - ab
+            push((word + "E", easts | 1 << (pos + c), xs, size, pos - a,
                   down if down < low else low, hp, hm))
-        if len(xs) < a:
-            dp, dm = _north_pairs(easts, level, n)
-            push((word + "N", easts, xs + (x,), size + x, level + b, low,
-                  hp + dp, hm + dm))
+        push((word + "N", easts, xs + (x,), size + x, pos + b, low,
+              hp + (easts >> (pos + g) & window).bit_count(),
+              hm + (easts >> pos & window).bit_count()))
 
 
 def min_level(mu, a, b):

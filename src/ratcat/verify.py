@@ -4,8 +4,11 @@ independently and returns a report with a witness on failure."""
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import os
 import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import product, repeat
@@ -65,8 +68,10 @@ class CheckReport:
     passed: bool
     witness: object = None
     seconds: float = 0.0
-    error: Exception | None = None  # what the checker raised; not serialised
-    peak_rss_kb: int = 0  # of this process, read when the check ended
+    # what the checker raised (run_sweep gives its traceback text instead,
+    # which a worker process can send back); not serialised
+    error: Exception | str | None = None
+    peak_rss_kb: int = 0  # of the process that ran it, read when it ended
     counters: dict = field(default_factory=dict)  # objects the check enumerated
 
     def to_json(self, include_seconds=False):
@@ -591,12 +596,66 @@ def sweep_tasks(limit=10):
             for args in frames for chk in checkers]
 
 
-def run_sweep(limit=10, claim="all"):
-    """Run the default sweep in task order, yielding each report as its
-    check finishes; a claim name from CLAIMS keeps only that claim's tasks."""
-    for chk, args in sweep_tasks(limit):
-        if claim == "all" or chk.claim == claim:
-            yield chk(*args)
+def run_sweep(limit=10, claim="all", workers=1):
+    """Run the default sweep, yielding each report in task order as soon as
+    it and every report before it are done; a claim name from CLAIMS keeps
+    only that claim's tasks. A crashed check's report carries the formatted
+    traceback as its error.
+
+    With workers > 1, task 0 runs here first, so its report is not delayed,
+    and the rest on a pool of up to `workers` forked processes. A worker
+    inherits the task list, rebound checkers included, and is sent only
+    task indices. With one worker, fewer than two tasks after the first, or
+    no fork on this platform, every task runs here in turn. The pool is
+    ended and joined however the caller stops, so close the generator (or
+    run it to its end) before the process exits.
+    """
+    tasks = [(chk, args) for chk, args in sweep_tasks(limit)
+             if claim == "all" or chk.claim == claim]
+    workers = min(workers, len(tasks) - 1)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(_run_task, tasks)
+        return
+    yield _run_task(tasks[0])
+    import multiprocessing  # after task 0, so its import does not delay it
+
+    # flush first, so that no worker writes this process's buffered output
+    # again; the workers' collector leaves frozen objects alone, instead of
+    # copying the pages they share with this process
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.freeze()
+    try:
+        # leaving the with block ends and joins the workers
+        with multiprocessing.get_context("fork").Pool(
+                workers, _adopt, (tasks,)) as pool:
+            yield from pool.imap(_run_adopted, range(1, len(tasks)), chunksize=4)
+    finally:
+        gc.unfreeze()
+
+
+def _run_task(task):
+    """The report of one (checker, args) task; a crash's exception becomes
+    its traceback text, which pickles whatever the exception holds."""
+    chk, args = task
+    report = chk(*args)
+    if report.error is not None:
+        import traceback  # only a crash needs it
+
+        report.error = "".join(traceback.format_exception(report.error))
+    return report
+
+
+_adopted = []  # in a pool worker: the task list it was forked with
+
+
+def _adopt(tasks):
+    global _adopted
+    _adopted = tasks
+
+
+def _run_adopted(i):
+    return _run_task(_adopted[i])
 
 
 def reports_to_jsonl(reports, include_seconds=False):

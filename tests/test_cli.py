@@ -1,7 +1,11 @@
 """Command-line interface: dispatch, formats, exit codes."""
 
+import fcntl
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 from math import comb
@@ -189,6 +193,8 @@ def test_verify_timings_add_rss_and_counters(capsys):
     ["verify", "no_such_claim"],
     ["verify", "--range", "0"],
     ["verify", "conj_rat_qcat", "--range", "-3"],
+    ["verify", "--threads", "0"],
+    ["catqt", "2", "3", "--threads", "-2"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -262,25 +268,68 @@ def _crashing(a, b):
                   lambda a, b, counters: 1 // 0, (a, b))
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("checkers, expect", [
     ([_failing], 1),
     ([_crashing, _failing], 3),
 ])
-def test_crashed_check_keeps_the_sweep(monkeypatch, capsys, checkers, expect):
-    _use_tasks(monkeypatch, [(chk, (2, 3)) for chk in checkers] + SMALL_TASKS)
-    code, out, err = run(capsys, "verify")
+def test_crashed_check_keeps_the_sweep(monkeypatch, capsys, checkers, expect,
+                                       threads):
+    # placed after task 0, so at --threads 2 they run in a worker process
+    placed = [(chk, (2, 3)) for chk in checkers]
+    _use_tasks(monkeypatch, SMALL_TASKS[:1] + placed + SMALL_TASKS[1:])
+    code, out, err = run(capsys, "verify", "--threads", threads)
     lines = [json.loads(line) for line in out.splitlines()]
     assert code == expect
     assert len(lines) == len(checkers) + len(SMALL_TASKS)
-    assert all(line["passed"] for line in lines[len(checkers):])
+    mine = lines[1:1 + len(checkers)]
+    assert all(line["passed"] for line in lines[:1] + lines[1 + len(checkers):])
     if _crashing in checkers:
-        assert lines[0] == {
+        assert mine[0] == {
             "claim": "crashes", "params": {"a": 2, "b": 3}, "passed": False,
             "witness": {"exception": "ZeroDivisionError",
                         "message": "integer division or modulo by zero"},
         }
-        assert "ZeroDivisionError" in err
-    assert lines[len(checkers) - 1]["witness"] == {"n": 1}
+        assert "Traceback" in err and "ZeroDivisionError" in err
+    assert mine[-1]["witness"] == {"n": 1}
+
+
+def _pid(n):
+    return _timed("pid", {"n": n},
+                  lambda n, counters: {"pid": os.getpid()}, (n,))
+
+
+@pytest.mark.parametrize("threads, tasks, here", [
+    ("1", 6, 6),
+    ("2", 6, 1),  # task 0 in this process, the rest on the pool
+    ("2", 2, 2),  # a pool for one task would only add its start-up
+])
+def test_checks_after_the_first_run_on_the_pool(monkeypatch, capsys, threads,
+                                                tasks, here):
+    _use_tasks(monkeypatch, [(_pid, (n,)) for n in range(tasks)])
+    code, out, _ = run(capsys, "verify", "--threads", threads)
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert [line["params"]["n"] for line in lines] == list(range(tasks))
+    assert [line["witness"]["pid"] == os.getpid() for line in lines] == (
+        [True] * here + [False] * (tasks - here))
+    assert multiprocessing.active_children() == []  # the pool was joined
+
+
+@pytest.mark.parametrize("claim", ["all", "lem_cyc_shift"])
+def test_the_pool_writes_what_one_process_does(capsys, claim):
+    want = reports_to_jsonl(run_sweep(4, claim)) + "\n"
+    argv = ["verify", claim, "--range", "4"]
+    for threads in ("1", "2"):
+        assert run(capsys, *argv, "--threads", threads) == (0, want, "")
+    code, out, _ = run(capsys, *argv, "--threads", "2", "--timings")
+    assert code == 0
+
+    def outcomes(text):
+        return [(line["claim"], line["params"], line["passed"])
+                for line in map(json.loads, text.splitlines())]
+
+    assert outcomes(out) == outcomes(want)
 
 
 def test_assertion_error_is_a_contract_violation(monkeypatch, capsys):
@@ -317,3 +366,43 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""  # no Traceback, no "Exception ignored" either
+
+
+def _verify_range_3(src, stdout):
+    return subprocess.Popen(
+        [sys.executable, "-m", "ratcat.cli", "verify", "all", "--range", "3",
+         "--threads", "2"],
+        cwd=src, stdout=stdout, stderr=subprocess.PIPE,
+        start_new_session=True,  # its process group holds its workers too
+    )
+
+
+def test_verify_leaves_no_process_running():
+    src = Path(__file__).resolve().parents[1] / "src"
+    procs = []
+    try:
+        procs.append(_verify_range_3(src, subprocess.PIPE))
+        out, err = procs[0].communicate(timeout=120)
+        assert procs[0].returncode == 0, err.decode()
+        assert len(out) > 8192
+        # a one-page pipe cannot take the whole sweep, so the run is still
+        # writing when its reader goes away after line 2 (from the pool)
+        r, w = os.pipe()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        procs.append(_verify_range_3(src, w))
+        os.close(w)
+        with open(r, "rb") as reader:
+            reader.readline()
+            reader.readline()
+        _, err = procs[1].communicate(timeout=120)
+        assert procs[1].returncode == 1
+        assert err == b""
+        for proc in procs:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+    finally:
+        for proc in procs:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

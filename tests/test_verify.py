@@ -2,6 +2,7 @@
 
 import functools
 import json
+import multiprocessing
 from math import gcd
 
 import ratcat.verify
@@ -146,6 +147,17 @@ def test_claim_selects_a_rebound_checker(monkeypatch):
     assert [r.params for r in reports] == [{"n": n} for n in range(1, 7)]
     assert all(r.passed and r.claim == "macmahon_maj" for r in reports)
     assert calls == [(n,) for n in range(1, 7)]
+
+
+def test_a_sweep_stopped_early_leaves_no_worker(monkeypatch):
+    tasks = [(check_macmahon, (n,)) for n in range(1, 7)]
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    reports = run_sweep(workers=2)
+    assert [next(reports).params for _ in range(3)] == [
+        {"n": 1}, {"n": 2}, {"n": 3}]
+    assert len(multiprocessing.active_children()) == 2
+    reports.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_small_sweep_rerun_determinism():
