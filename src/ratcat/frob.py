@@ -4,6 +4,7 @@ polynomials, the q,t-parking-function series, and matrix rendering."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -107,10 +108,8 @@ def schroeder(a, b, k):
 def cat_qt(a, b):
     """Sum of q^area(D) t^area(sweep(D)) over (a,b)-Dyck paths."""
     _require_coprime(a, b)
-    total = LaurentQT.zero()
-    for d in enumerate_dyck(a, b):
-        total = total + LaurentQT.monomial(area(d), area(sweep(d)))
-    return total
+    return LaurentQT(Counter(
+        (area(d), area(sweep(d))) for d in enumerate_dyck(a, b)))
 
 
 def pf_qt(a, b, descending=False):
@@ -248,7 +247,7 @@ def classical_shuffle_side(n):
 def classical_cat_qt(n):
     """Sum of q^area t^dinv over unlabeled classical Dyck paths; dinv counts
     rows i < j with g_i = g_j or g_i = g_j + 1."""
-    total = LaurentQT.zero()
+    counts = Counter()  # (area, dinv): how many paths
     for d in enumerate_dyck(n, n):
         g = [i - x for i, x in enumerate(east_counts(d.word))]
         dinv = sum(
@@ -257,8 +256,8 @@ def classical_cat_qt(n):
             for j in range(i + 1, n)
             if g[i] == g[j] or g[i] == g[j] + 1
         )
-        total = total + LaurentQT.monomial(sum(g), dinv)
-    return total
+        counts[sum(g), dinv] += 1
+    return LaurentQT(counts)
 
 
 def hilbert_series(series):

@@ -227,34 +227,34 @@ def _word_stats(word, a, b):
 
 
 def frame_entries(a, b):
-    """(frontier word, (mu, |mu|, ml, h+, h-)) for every partition mu in the
-    a x b box, the words in descending lexicographic order (N before E).
+    """(frontier word, (|mu|, ml, h+, h-)) for every partition mu in the
+    a x b box, the words in descending lexicographic order (N before E);
+    mu itself is partition_of_frontier(word, a, b).
 
     A depth-first walk over the steps, on a stack of immutable prefix
     states. The E levels of a prefix are bits of one int: levels are
     multiples of g = gcd(a, b), at most g E steps start at one level, and
-    the c-th of them is bit level + a*b + c. An N step's pairs (as in
-    _north_pairs) are then two bit counts. Once all a N steps are down, the
-    E steps left change no statistic, so the word is finished at once.
+    the c-th of them is bit level + a*b + c. An N step at x adds x to |mu|
+    and its pairs (as in _north_pairs), two bit counts. Once all a N steps
+    are down, the E steps left change no statistic (the level falls to 0
+    and ml <= 0), so the word is finished at once.
     """
     g, ab = gcd(a, b), a * b
     window, field = (1 << (a + b)) - 1, (1 << g) - 1
-    # word, E level bits, N x-positions, |mu|, level + ab, ml, h+, h-
-    stack = [("", 0, (), 0, ab, 0, 0, 0)]
+    # word, E level bits, x, N steps, |mu|, level + ab, ml, h+, h-
+    stack = [("", 0, 0, 0, 0, ab, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        word, easts, xs, size, pos, low, hp, hm = pop()
-        x = len(word) - len(xs)
-        if len(xs) == a:
-            yield word + "E" * (b - x), (tuple([p for p in reversed(xs) if p]),
-                                         size, low, hp, hm)
+        word, easts, x, rows, size, pos, low, hp, hm = pop()
+        if rows == a:
+            yield word + "E" * (b - x), (size, low, hp, hm)
             continue
         if x < b:  # pushed first, so the N child is walked first
             c = (easts >> pos & field).bit_count()
             down = pos - a - ab
-            push((word + "E", easts | 1 << (pos + c), xs, size, pos - a,
-                  down if down < low else low, hp, hm))
-        push((word + "N", easts, xs + (x,), size + x, pos + b, low,
+            push((word + "E", easts | 1 << (pos + c), x + 1, rows, size,
+                  pos - a, down if down < low else low, hp, hm))
+        push((word + "N", easts, x, rows + 1, size + x, pos + b, low,
               hp + (easts >> (pos + g) & window).bit_count(),
               hm + (easts >> pos & window).bit_count()))
 

@@ -10,6 +10,7 @@ import os
 import resource
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from math import gcd
@@ -123,7 +124,7 @@ def _claim(name, *params):
         def check(*args):
             return _timed(name, dict(zip(params, args)), body, args)
 
-        check.claim = name
+        check.claim, check.params = name, params
         CLAIMS.append(name)
         return check
 
@@ -132,14 +133,14 @@ def _claim(name, *params):
 
 # -- partition-statistic claims --------------------------------------------
 #
-# thm_ratcat, lem_h_via_labels and lem_cyc_shift read the box walk
-# frame_entries: pairs (frontier word, (mu, |mu|, ml, h+, h-)) in descending
-# lexicographic word order, with the triangle where ml == 0. A checker keeps
-# of it only what it needs. conj_nonstd_qbin needs only a histogram and
-# counts it off a leaner walk of the same steps (_box_histogram);
-# conj_rat_qcat needs only the triangle and walks the Dyck words instead.
+# conj_nonstd_qbin, thm_ratcat, lem_h_via_labels and lem_cyc_shift read the
+# one box walk frame_entries: pairs (frontier word, (|mu|, ml, h+, h-)) in
+# descending lexicographic word order, with the triangle where ml == 0. A
+# checker keeps of it only what it needs, and rebuilds mu from the word
+# (partition_of_frontier) only for a witness. conj_rat_qcat needs only the
+# triangle and walks the Dyck words instead.
 #
-# The walks below serve only these checkers, so they live here and not in
+# The helpers below serve only these checkers, so they live here and not in
 # partitions.py, which every command imports and compiles.
 
 
@@ -151,73 +152,35 @@ def _box_entries(a, b, counters):
         yield entry
 
 
-def _box_histogram(a, b):
-    """{(|mu| + ml + h+, |mu| + ml + h-): how many partitions mu} over the
-    a x b box, counted off a depth-first walk of the frontier words with no
-    word, no mu and no entry per word.
-
-    A prefix keeps the levels its E steps start at as bits of one int, its
-    x, its N steps, its level, its minimum level and |mu| + h+, |mu| + h-.
-    An N step at level l adds x and its pairs (as in _north_pairs): h+
-    counts the E levels e with l < e <= l+n, h- those with l <= e < l+n,
-    n = a+b. Levels are multiples of g = gcd(a, b) and at most g E steps
-    start at one level, so the c-th of them is bit e + c (shifted by a*b to
-    stay nonnegative), and each window is one bit count. Once all a N steps
-    are down, the E steps left change none of these (the level falls to 0
-    and ml <= 0), so the prefix is counted there.
-    """
-    n, g, ab = a + b, gcd(a, b), a * b
-    window, field = (1 << n) - 1, (1 << g) - 1
-    hist = {}
-    stack = [(0, 0, 0, ab, 0, 0, 0)]  # E bits, x, N steps, level + ab, ml, sums
-    pop, push = stack.pop, stack.append
-    while stack:
-        easts, x, rows, pos, low, sp, sm = pop()
-        if rows == a:
-            key = (sp + low, sm + low)
-            hist[key] = hist.get(key, 0) + 1
-            continue
-        if x < b:
-            c = (easts >> pos & field).bit_count()
-            down = pos - a - ab
-            push((easts | 1 << (pos + c), x + 1, rows, pos - a,
-                  down if down < low else low, sp, sm))
-        dp = (easts >> (pos + g) & window).bit_count()
-        dm = (easts >> pos & window).bit_count()
-        push((easts, x, rows + 1, pos + b, low, sp + x + dp, sm + x + dm))
-    return hist
-
-
 def _arm_leg_walk(a, b):
-    """(mu, h+, h-) for every partition mu in the a x b box, in frame_entries
-    order, counted from the arm/leg windows; no level is read.
+    """(frontier word, h+, h-) for every partition in the a x b box, in
+    frame_entries order, counted from the arm/leg windows; no level is read.
 
-    The walk takes the same steps (depth first, N child first). An N step at
-    x lays a row of length x on top of the rows already down, and the column
-    heights of those rows give the legs of its cells (_row_pairs, as in
-    _h_pair). The E steps after the last row change nothing, so a prefix
-    with a - 1 rows yields its leaves at once, one per length of that row.
+    The walk takes the same steps (depth first, N child first) and writes
+    its own word. An N step at x lays a row of length x on top of the rows
+    already down, and the column heights of those rows give the legs of its
+    cells (_row_pairs, as in _h_pair). The E steps after the last row change
+    nothing, so a prefix with a - 1 rows yields its leaves at once, one per
+    length of that row.
     """
     if not a:
-        yield (), 0, 0
+        yield "E" * b, 0, 0
         return
-    stack = [((), (0,) * b, 0, 0, 0, 0)]  # mu, column heights, x, rows, h+, h-
+    stack = [("", (0,) * b, 0, 0, 0, 0)]  # word, column heights, x, rows, h+, h-
     pop, push = stack.pop, stack.append
     while stack:
-        mu, heights, x, rows, hp, hm = pop()
+        word, heights, x, rows, hp, hm = pop()
         if rows == a - 1:
             for y in range(x, b + 1):
                 dp, dm = _row_pairs(heights, y, a, b)
-                yield ((y,) + mu if y else mu), hp + dp, hm + dm
+                yield (word + "E" * (y - x) + "N" + "E" * (b - y),
+                       hp + dp, hm + dm)
             continue
         if x < b:  # pushed first, so the N child is walked first
-            push((mu, heights, x + 1, rows, hp, hm))
-        if x:
-            dp, dm = _row_pairs(heights, x, a, b)
-            push(((x,) + mu, tuple([h + 1 for h in heights[:x]]) + heights[x:],
-                  x, rows + 1, hp + dp, hm + dm))
-        else:
-            push((mu, heights, x, rows + 1, hp, hm))
+            push((word + "E", heights, x + 1, rows, hp, hm))
+        dp, dm = _row_pairs(heights, x, a, b)
+        push((word + "N", tuple([h + 1 for h in heights[:x]]) + heights[x:],
+              x, rows + 1, hp + dp, hm + dm))
 
 
 def _shift_increments(w, a, b):
@@ -284,7 +247,8 @@ def check_conj_nonstd_qbin(a, b, counters):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
     target = q_binomial(a + b, a)
-    hist = _box_histogram(a, b)
+    hist = Counter((size + ml + hp, size + ml + hm)  # how many partitions
+                   for _, (size, ml, hp, hm) in frame_entries(a, b))
     counters["box_words"] = sum(hist.values())
     for tag, k in (("h+", 0), ("h-", 1)):
         total = _q_sum((key[k] for key in hist), hist.values())
@@ -297,40 +261,40 @@ def check_conj_nonstd_qbin(a, b, counters):
 def check_thm_ratcat(a, b, counters):
     """Box sum factors as [a+b]_q times the triangle sum, and every orbit
     passes the fine shift-indexing check."""
-    table = dict(_box_entries(a, b, counters))
-    triangle = {w: s for w, s in table.items() if s[2] == 0}
-    box = _q_sum(size + ml + hp for _, size, ml, hp, _ in table.values())
-    tri = _q_sum(size + hp for _, size, _, hp, _ in triangle.values())
+    table = dict(_box_entries(a, b, counters))  # word: (|mu|, ml, h+, h-)
+    triangle = [w for w, s in table.items() if s[1] == 0]
+    box = _q_sum(size + ml + hp for size, ml, hp, _ in table.values())
+    tri = _q_sum(table[w][0] + table[w][2] for w in triangle)
     if box != q_int(a + b) * tri:
         return {"box": box.to_json(), "tri": tri.to_json()}
 
     def stats(word):
-        return table[word][2:4]  # (ml, h+)
+        return table[word][1:3]  # (ml, h+)
 
-    for w, (mu0, *_) in triangle.items():
+    for w in triangle:
         if not _orbit_indexing_holds(w, a, b, stats):
-            return {"orbit_rep": list(mu0)}
+            return {"orbit_rep": list(partition_of_frontier(w, a, b))}
 
 
 @_claim("lem_h_via_labels", "a", "b")
 def check_lem_h_via_labels(a, b, counters):
     """Arm/leg window counts match the frontier-level pair counts, checked
-    entry by entry as the two walks yield them in step."""
+    word by word as the two walks yield them in step."""
     walks = zip(_box_entries(a, b, counters), _arm_leg_walk(a, b), strict=True)
-    for (_, (mu, _, _, hp, hm)), (arm_mu, arm_hp, arm_hm) in walks:
-        if arm_mu != mu:
+    for (w, (_, _, hp, hm)), (arm_w, arm_hp, arm_hm) in walks:
+        if arm_w != w:
             raise AssertionError(
-                f"the arm/leg walk is at {arm_mu}, the box walk at {mu}")
+                f"the arm/leg walk is at {arm_w}, the box walk at {w}")
         if arm_hp != hp:
-            return {"mu": list(mu), "sign": "+"}
+            return {"mu": list(partition_of_frontier(w, a, b)), "sign": "+"}
         if arm_hm != hm:
-            return {"mu": list(mu), "sign": "-"}
+            return {"mu": list(partition_of_frontier(w, a, b)), "sign": "-"}
 
 
 @_claim("lem_cyc_shift", "a", "b")
 def check_lem_cyc_shift(a, b, counters):
     """The h+ increment of one cyclic shift, via both stated formulas."""
-    h_plus_of = {w: s[3] for w, s in _box_entries(a, b, counters)}
+    h_plus_of = {w: s[2] for w, s in _box_entries(a, b, counters)}
     for w, hp in h_plus_of.items():
         delta = h_plus_of[w[1:] + w[0]] - hp
         f1, f2 = _shift_increments(w, a, b)
@@ -402,9 +366,7 @@ def check_conj_abpf(a, b, counters):
 @_claim("macmahon_maj", "n")
 def check_macmahon(n, counters):
     """Major index on Dyck words is distributed by Cat_{n,n+1}(q)."""
-    total = LaurentQT.zero()
-    for w in enumerate_dyck_words(n):
-        total = total + LaurentQT.monomial(maj(w), 0)
+    total = _q_sum(maj(w) for w in enumerate_dyck_words(n))
     target = rational_q_catalan(n, n + 1)
     if total != target:
         return {"sum": total.to_json(), "target": target.to_json()}
@@ -605,10 +567,12 @@ def run_sweep(limit=10, claim="all", workers=1):
     With workers > 1, task 0 runs here first, so its report is not delayed,
     and the rest on a pool of up to `workers` forked processes. A worker
     inherits the task list, rebound checkers included, and is sent only
-    task indices. With one worker, fewer than two tasks after the first, or
-    no fork on this platform, every task runs here in turn. The pool is
-    ended and joined however the caller stops, so close the generator (or
-    run it to its end) before the process exits.
+    task indices. A worker that dies (killed by a signal) breaks the pool:
+    the first task with no report then gets a failed report naming the
+    exception, and the sweep ends there. With one worker, fewer than two
+    tasks after the first, or no fork on this platform, every task runs
+    here in turn. The pool is ended and joined however the caller stops,
+    so close the generator (or run it to its end) before the process exits.
     """
     tasks = [(chk, args) for chk, args in sweep_tasks(limit)
              if claim == "all" or chk.claim == claim]
@@ -617,7 +581,9 @@ def run_sweep(limit=10, claim="all", workers=1):
         yield from map(_run_task, tasks)
         return
     yield _run_task(tasks[0])
-    import multiprocessing  # after task 0, so its import does not delay it
+    # imported after task 0, so that the import does not delay it
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # flush first, so that no worker writes this process's buffered output
     # again; the workers' collector leaves frozen objects alone, instead of
@@ -625,12 +591,21 @@ def run_sweep(limit=10, claim="all", workers=1):
     sys.stdout.flush()
     sys.stderr.flush()
     gc.freeze()
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _adopt, (tasks,))
+    lost = 1  # the first task with no report yet
     try:
-        # leaving the with block ends and joins the workers
-        with multiprocessing.get_context("fork").Pool(
-                workers, _adopt, (tasks,)) as pool:
-            yield from pool.imap(_run_adopted, range(1, len(tasks)), chunksize=4)
+        for report in pool.map(_run_adopted, range(1, len(tasks)), chunksize=4):
+            yield report
+            lost += 1
+    except BrokenProcessPool as exc:
+        chk, args = tasks[lost]
+        name = type(exc).__name__
+        yield CheckReport(chk.claim, dict(zip(chk.params, args)), False,
+                          {"exception": name, "message": str(exc)},
+                          error=f"{name}: {exc}\n")
     finally:
+        pool.shutdown(cancel_futures=True)
         gc.unfreeze()
 
 

@@ -406,3 +406,51 @@ def test_verify_leaves_no_process_running():
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_killed_worker_ends_verify_with_exit_3():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratcat.cli", "verify", "all", "--range", "9",
+         "--threads", "2"],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        proc.stdout.readline()
+        proc.stdout.readline()  # from the pool, so both workers are up
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as f:
+            workers = [int(pid) for pid in f.read().split()]
+        assert len(workers) == 2
+        os.kill(workers[0], signal.SIGKILL)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3
+        last = json.loads(out.splitlines()[-1])
+        assert not last["passed"]
+        assert last["witness"]["exception"] == "BrokenProcessPool"
+        assert err.startswith(b"BrokenProcessPool: ")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+@pytest.mark.parametrize("args", [("catqt", "3", "5"), ("pfqt", "3", "5"),
+                                  ("golden",)])
+def test_commands_but_verify_import_no_pool(args):
+    # the pool and the claim checkers stay off the paths that compute one
+    # frame or the golden tables, whose start-up and peak RSS they would add to
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, ratcat.cli\n"
+             "code = ratcat.cli.main(sys.argv[1:])\n"
+             "print(sorted({'ratcat.verify', 'multiprocessing', "
+             "'concurrent.futures'} & sys.modules.keys()), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *args], cwd=src,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b"[]\n"

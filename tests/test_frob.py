@@ -38,7 +38,7 @@ from ratcat.parking import (
     ides,
     labelings_of,
 )
-from ratcat.paths import area, east_counts, enumerate_dyck
+from ratcat.paths import area, east_counts, enumerate_dyck, sweep
 from ratcat.qt import LaurentQT, ONE, q_int
 from ratcat.symfunc import (
     VarPoly,
@@ -397,6 +397,35 @@ def test_cat_qt_twins_and_symmetry():
         c = cat_qt(a, b)
         assert c == cat_qt(b, a)
         assert c == c.swap_q_t()
+
+
+def _per_path_cat_qt(a, b):
+    """cat_qt as it summed before it counted exponent pairs: one LaurentQT
+    added per path."""
+    total = LaurentQT.zero()
+    for d in enumerate_dyck(a, b):
+        total = total + LaurentQT.monomial(area(d), area(sweep(d)))
+    return total
+
+
+def _per_path_classical_cat_qt(n):
+    """classical_cat_qt as it summed before it counted exponent pairs."""
+    total = LaurentQT.zero()
+    for d in enumerate_dyck(n, n):
+        g = [i - x for i, x in enumerate(east_counts(d.word))]
+        dinv = sum(1 for i in range(n) for j in range(i + 1, n)
+                   if g[i] == g[j] or g[i] == g[j] + 1)
+        total = total + LaurentQT.monomial(sum(g), dinv)
+    return total
+
+
+def test_counted_cat_sums_match_the_per_path_sums():
+    for a in range(1, 9):
+        for b in range(1, 9):
+            if gcd(a, b) == 1:
+                assert cat_qt(a, b) == _per_path_cat_qt(a, b), (a, b)
+    for n in range(1, 8):
+        assert classical_cat_qt(n) == _per_path_classical_cat_qt(n), n
 
 
 def test_pf_qt_2_3():

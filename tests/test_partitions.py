@@ -187,12 +187,12 @@ def _old_frame_stats(a, b):
     table = {}
     for mu in enumerate_box(a, b):
         w = _old_frontier(mu, a, b)
-        table[w] = (mu, *_word_stats(w, a, b))
+        table[w] = _word_stats(w, a, b)
     return table
 
 
 def frame_stats(a, b):
-    """{frontier word: (mu, |mu|, ml, h+, h-)} for every partition in the
+    """{frontier word: (|mu|, ml, h+, h-)} for every partition in the
     a x b box, in frame_entries order (descending lexicographic words); the
     triangle is where ml == 0."""
     return dict(frame_entries(a, b))
@@ -207,15 +207,16 @@ def test_frame_stats_matches_the_replaced_routes():
             assert list(table) == sorted(table, reverse=True)
             for mu in box:
                 w = _old_frontier(mu, a, b)
+                assert partition_of_frontier(w, a, b) == mu
                 assert table[w] == (
-                    mu,
                     sum(mu),
                     min(levels(w, a, b)),
                     _old_h_via_levels(w, a, b, "+"),
                     _old_h_via_levels(w, a, b, "-"),
                 )
                 assert _h_pair(mu, a, b) == (h_plus(mu, a, b), h_minus(mu, a, b))
-            assert {s[0] for s in table.values() if s[2] == 0} == set(
+            assert {partition_of_frontier(w, a, b)
+                    for w, s in table.items() if s[1] == 0} == set(
                 enumerate_triangle(a, b)
             )
 
@@ -233,7 +234,7 @@ def test_frame_walk_matches_the_per_word_table():
 def test_level_wrappers_read_the_kernel():
     table = frame_stats(4, 6)
     for mu in enumerate_box(4, 6):
-        _, _, ml, hp, hm = table[frontier(mu, 4, 6)]
+        _, ml, hp, hm = table[frontier(mu, 4, 6)]
         assert min_level(mu, 4, 6) == ml
         assert h_via_levels(mu, 4, 6, "+") == hp
         assert h_via_levels(mu, 4, 6, "-") == hm
@@ -266,11 +267,13 @@ ARM_LEG_FRAMES = [(a, b) for a in range(1, 9) for b in range(1, 9)] + [(9, 10)]
 
 def test_arm_leg_routes_match_the_cell_by_cell_count():
     # _h_pair and the row walk both lay rows on column heights; the walk
-    # yields every mu of the box, in frame_entries order
+    # yields the frontier word of every mu of the box, in frame_entries order
     for a, b in ARM_LEG_FRAMES:
-        want = [(mu, *_old_h_pair(mu, a, b)) for _, (mu, *_) in frame_entries(a, b)]
-        assert list(_arm_leg_walk(a, b)) == want, (a, b)
-        for mu, hp, hm in want:
-            assert _h_pair(mu, a, b) == (hp, hm), (mu, a, b)
+        walked = list(_arm_leg_walk(a, b))
+        assert [w for w, _, _ in walked] == [w for w, _ in frame_entries(a, b)]
+        for w, hp, hm in walked:
+            mu = partition_of_frontier(w, a, b)
+            assert (hp, hm) == _old_h_pair(mu, a, b) == _h_pair(mu, a, b), (
+                mu, a, b)
     for b in range(4):  # a = 0: the empty partition only
-        assert list(_arm_leg_walk(0, b)) == [((), 0, 0)]
+        assert list(_arm_leg_walk(0, b)) == [("E" * b, 0, 0)]

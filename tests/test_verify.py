@@ -3,6 +3,8 @@
 import functools
 import json
 import multiprocessing
+import os
+import signal
 from math import gcd
 
 import ratcat.verify
@@ -15,11 +17,18 @@ from ratcat.partitions import (
     partition_of_frontier,
     partitions_of,
 )
-from ratcat.paths import count_dyck, cyclic_shift, enumerate_dyck, levels
+from ratcat.paths import (
+    count_dyck,
+    cyclic_shift,
+    enumerate_dyck,
+    enumerate_dyck_words,
+    levels,
+    maj,
+)
+from ratcat.qt import LaurentQT
 from ratcat.verify import (
     CLAIMS,
     CheckReport,
-    _box_histogram,
     _fixed_point_counts,
     _perm_of_cycle_type,
     _run_slices,
@@ -160,6 +169,26 @@ def test_a_sweep_stopped_early_leaves_no_worker(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_killed_worker_ends_the_sweep_with_a_failed_report(monkeypatch):
+    @functools.wraps(check_macmahon)
+    def dying(n):  # the worker that runs n = 4 is killed, as by the OOM killer
+        if n == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return check_macmahon(n)
+
+    tasks = [(dying, (n,)) for n in range(1, 7)]
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    reports = list(run_sweep(workers=2))
+    # tasks 1-4 (n = 2..5) are one chunk, so n = 2 is the first with no report
+    assert [r.params for r in reports] == [{"n": 1}, {"n": 2}]
+    assert reports[0].passed and not reports[1].passed
+    assert reports[1].claim == "macmahon_maj"
+    assert reports[1].witness["exception"] == "BrokenProcessPool"
+    assert reports[1].error == (
+        f"BrokenProcessPool: {reports[1].witness['message']}\n")
+    assert multiprocessing.active_children() == []
+
+
 def test_small_sweep_rerun_determinism():
     # the range-3 sweep with the pf-series claims cut to coprime a <= 2,
     # b <= 3
@@ -187,22 +216,18 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
     word = frontier(mu, 3, 5)
 
     def changed(a, b):  # the one box walk all four box checks read
-        for w, (nu, size, ml, hp, hm) in frame_entries(a, b):
+        for w, (size, ml, hp, hm) in frame_entries(a, b):
             if w == word:
-                assert (nu, ml) == (mu, 0)
+                assert ml == 0
                 hp, hm = hp + 1, hm + 1
-            yield w, (nu, size, ml, hp, hm)
+            yield w, (size, ml, hp, hm)
 
     def changed_stats(w, a, b):  # the same change, for the Dyck-word walk
         size, ml, hp, hm = _word_stats(w, a, b)
         return (size, ml, hp + 1, hm + 1) if w == word else (size, ml, hp, hm)
 
-    def changed_histogram(a, b):  # the same change, for the histogram walk
-        return _histogram_of(changed(a, b))
-
     monkeypatch.setattr(ratcat.verify, "frame_entries", changed)
     monkeypatch.setattr(ratcat.verify, "_word_stats", changed_stats)
-    monkeypatch.setattr(ratcat.verify, "_box_histogram", changed_histogram)
     before = partition_of_frontier(cyclic_shift(word, -1), 3, 5)
     for chk in PARTITION_CHECKERS:
         report = chk(3, 5)
@@ -215,7 +240,7 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
 def test_triangle_frontier_words_are_the_dyck_words():
     # conj_rat_qcat walks the Dyck words in place of the box table's triangle
     for a, b in [(3, 5), (5, 3), (4, 7), (6, 6), (4, 6)]:
-        triangle = {w: s[1:] for w, s in frame_entries(a, b) if s[2] == 0}
+        triangle = {w: s for w, s in frame_entries(a, b) if s[1] == 0}
         walked = {d.word: _word_stats(d.word, a, b) for d in enumerate_dyck(a, b)}
         assert walked == triangle, (a, b)
 
@@ -330,6 +355,10 @@ def test_enumerating_checks_count_what_they_walked():
     for n in range(1, 6):
         assert check_dinv_zeta(n).counters == {
             "parking_functions": (n + 1) ** (n - 1)}
+    # the four box claims count the words of the one box walk
+    assert check_conj_nonstd_qbin(4, 6).counters == {"box_words": 210}
+    for chk in (check_thm_ratcat, check_lem_h_via_labels, check_lem_cyc_shift):
+        assert chk(4, 7).counters == {"box_words": 330}
 
 
 def test_pf_claims_count_schur_terms_and_partitions():
@@ -344,22 +373,6 @@ def test_pf_claims_count_schur_terms_and_partitions():
             "schur_terms": len(frob_s(a, b).coeffs),
             "partitions": len(list(partitions_of(a)))}
         assert "counters" not in report.to_json()
-
-
-def _histogram_of(entries):
-    """{(|mu| + ml + h+, |mu| + ml + h-): count} over box walk entries."""
-    hist = {}
-    for _, (_, size, ml, hp, hm) in entries:
-        key = (size + ml + hp, size + ml + hm)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
-def test_box_histogram_matches_the_box_walk():
-    frames = [(a, b) for a in range(1, 9) for b in range(9)] + [(9, 10)]
-    for a, b in frames:
-        assert _box_histogram(a, b) == _histogram_of(frame_entries(a, b)), (a, b)
-    assert check_conj_nonstd_qbin(4, 6).counters == {"box_words": 210}
 
 
 def test_an_out_of_step_arm_leg_walk_fails_as_an_exception(monkeypatch):
@@ -380,6 +393,17 @@ def test_an_out_of_step_arm_leg_walk_fails_as_an_exception(monkeypatch):
         assert not report.passed
         assert isinstance(report.error, error)
         assert report.witness["exception"] == error.__name__
+
+
+def test_macmahon_counts_the_per_word_sum(monkeypatch):
+    # with a zero target the witness shows the counted sum
+    monkeypatch.setattr(ratcat.verify, "rational_q_catalan",
+                        lambda a, b: LaurentQT.zero())
+    for n in range(1, 8):
+        per_word = LaurentQT.zero()
+        for w in enumerate_dyck_words(n):
+            per_word = per_word + LaurentQT.monomial(maj(w), 0)
+        assert check_macmahon(n).witness["sum"] == per_word.to_json(), n
 
 
 def _old_shift_formulas(w, a, b):
