@@ -100,13 +100,19 @@ def main(argv=None):
                         default=len(os.sched_getaffinity(0)),
                         help="processes verify runs its checks on "
                              "(default: the usable processors)")
-    common.add_argument("--format", choices=["json", "matrix", "tex"],
-                        default="matrix")
-    common.add_argument("--out", metavar="FILE")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, fmt=False, out=True, **kw):
+        """A subcommand with --threads, plus --format where fmt (the
+        commands that render one polynomial or series) and --out where out
+        (every command that writes its result)."""
+        p = sub.add_parser(name, parents=[common], **kw)
+        if fmt:
+            p.add_argument("--format", choices=["json", "matrix", "tex"],
+                           default="matrix")
+        if out:
+            p.add_argument("--out", metavar="FILE")
+        return p
 
     for name, hlp in [
         ("catqt", "rational q,t-Catalan polynomial"),
@@ -115,7 +121,7 @@ def main(argv=None):
         ("frob", "Frobenius characteristic of parking functions"),
         ("enumerate", "list all (a,b)-Dyck paths"),
     ]:
-        p = add_parser(name, help=hlp)
+        p = add_parser(name, fmt=name in ("catqt", "pfqt", "qcat"), help=hlp)
         p.add_argument("a", type=int)
         p.add_argument("b", type=int)
         if name == "frob":
@@ -143,8 +149,8 @@ def main(argv=None):
                    help="add each check's seconds, the peak RSS so far and "
                         "the objects it enumerated (see README)")
 
-    add_parser("golden", help="regenerate golden tables and diff "
-                                  "against the checked-in corpus")
+    add_parser("golden", out=False, help="regenerate golden tables and "
+                                         "diff against the checked-in corpus")
 
     args = parser.parse_args(argv)
 
@@ -169,7 +175,6 @@ def main(argv=None):
 def _dispatch(args):
     """Validate the user's input, then run the command. Every check on the
     input raises _UsageError; what a computation raises is not the user's."""
-    fmt = args.format
     if args.threads < 1:
         raise _UsageError(f"--threads {args.threads} must be at least 1")
     if hasattr(args, "a"):
@@ -180,16 +185,17 @@ def _dispatch(args):
         if args.command != "enumerate" and gcd(args.a, args.b) != 1:
             raise _UsageError(f"frame ({args.a},{args.b}) must be coprime")
     if args.command == "catqt":
-        _emit(_poly_text(cat_qt(args.a, args.b), fmt), args.out)
+        _emit(_poly_text(cat_qt(args.a, args.b), args.format), args.out)
     elif args.command == "qcat":
-        _emit(_poly_text(rational_q_catalan(args.a, args.b), fmt), args.out)
+        _emit(_poly_text(rational_q_catalan(args.a, args.b), args.format),
+              args.out)
     elif args.command == "pfqt":
         series = pf_qt(args.a, args.b)
-        if fmt == "json":
+        if args.format == "json":
             _emit(json.dumps(series.to_json()), args.out)
         else:
-            _emit(render_pf_blocks(series, "tex" if fmt == "tex" else "plain"),
-                  args.out)
+            style = "tex" if args.format == "tex" else "plain"
+            _emit(render_pf_blocks(series, style), args.out)
     elif args.command == "frob":
         series = {"h": frob_h, "p": frob_p, "s": frob_s}[args.basis](
             args.a, args.b

@@ -167,11 +167,6 @@ def _label_tuples(d: DyckPath):
 # -- classical statistics --------------------------------------------------
 
 
-def gp_vectors(pf):
-    """(g, p): area-cell counts and labels per row, bottom to top."""
-    return _g_vector(pf.path), tuple(pf.labels)
-
-
 def _g_vector(d: DyckPath):
     if d.a != d.b:
         raise ValueError("gp vectors are defined for the classical frame")

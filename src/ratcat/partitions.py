@@ -1,11 +1,10 @@
-"""Partitions and the box/triangle statistics: arm, leg, h+, h-, frontiers,
-minimum level, and cyclic-shift orbits."""
+"""Partitions, and the a x b box read as frontier words: the walk
+frame_entries gives |mu|, the minimum level ml and the h+, h- pair counts of
+every word, and partition_of_frontier turns a word back into mu."""
 
 from __future__ import annotations
 
 from math import factorial, gcd
-
-from .paths import cyclic_shift, levels
 
 
 def normalize(parts):
@@ -18,10 +17,6 @@ def normalize(parts):
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
-
-
-def size(mu):
-    return sum(mu)
 
 
 def length(mu):
@@ -63,65 +58,13 @@ def partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
-def enumerate_box(s, r):
-    """All partitions with at most s parts, each at most r."""
-    def rec(rows_left, max_part, prefix):
-        yield prefix  # weakly decreasing positive parts by construction
-        if rows_left == 0:
-            return
-        for part in range(max_part, 0, -1):
-            yield from rec(rows_left - 1, part, prefix + (part,))
-
-    yield from rec(s, r if s > 0 else 0, ())
-
-
-def in_box(mu, s, r):
-    mu = normalize(mu)
-    return len(mu) <= s and (not mu or mu[0] <= r)
-
-
-def in_triangle(mu, a, b):
-    """mu fits under the staircase: a*mu_j <= b*(a-j) for each row j."""
-    mu = normalize(mu)
-    if not in_box(mu, a, b):
-        return False
-    return all(a * p <= b * (a - j) for j, p in enumerate(mu, start=1))
-
-
-def enumerate_triangle(a, b):
-    for mu in enumerate_box(a, b):
-        if in_triangle(mu, a, b):
-            yield mu
-
-
-def frontier(mu, a, b):
-    """Boundary path of mu in the a x b box, read from (0,0) to (b,a).
-
-    Row j of mu is the j-th row from the top of the box; the north step at
-    height y therefore sits at x = mu_{a-y}.
-    """
-    mu = normalize(mu)
-    if not in_box(mu, a, b):
-        raise ValueError(f"{mu} does not fit in the {a} x {b} box")
-    return _frontier(mu, a, b)
-
-
-def _frontier(mu, a, b):
-    """frontier() of a canonical partition known to fit in the a x b box."""
-    padded = mu + (0,) * (a - len(mu))
-    steps = []
-    x = 0
-    for y in range(a):
-        target = padded[a - 1 - y]
-        steps.append("E" * (target - x))
-        steps.append("N")
-        x = target
-    steps.append("E" * (b - x))
-    return "".join(steps)
-
-
 def partition_of_frontier(word, a, b):
-    """Inverse of frontier: read off the north-step x-positions."""
+    """The partition mu in the a x b box whose frontier is word.
+
+    The frontier is the boundary path of mu read from (0,0) to (b,a), with
+    row j of mu the j-th row from the top of the box: the north step at
+    height y sits at x = mu_{a-y}, so mu is read off the north-step
+    x-positions."""
     if word.count("N") != a or word.count("E") != b:
         raise ValueError(f"word {word!r} is not in R(N^{a} E^{b})")
     xs = []
@@ -132,53 +75,6 @@ def partition_of_frontier(word, a, b):
         else:
             x += 1
     return normalize(tuple(reversed(xs)))
-
-
-def arm_leg(mu, cell):
-    """(arm, leg) of a cell: cells to the right in its row, below in its column."""
-    mu = normalize(mu)
-    i, j = cell
-    if not (1 <= i <= len(mu) and 1 <= j <= mu[i - 1]):
-        raise ValueError(f"cell {cell} not in diagram of {mu}")
-    conj = conjugate(mu)
-    return mu[i - 1] - j, conj[j - 1] - i
-
-
-def h_plus(mu, a, b):
-    """Cells with -a < a*arm - b*leg <= b."""
-    return _h_pair(normalize(mu), a, b)[0]
-
-
-def h_minus(mu, a, b):
-    """Cells with -a <= a*arm - b*leg < b."""
-    return _h_pair(normalize(mu), a, b)[1]
-
-
-def _h_pair(mu, a, b):
-    """(h+, h-) of a canonical partition from the arm/leg windows of its
-    rows, added bottom-up; the route independent of the levels."""
-    heights = [0] * max(mu, default=0)
-    hp = hm = 0
-    for p in reversed(mu):
-        dp, dm = _row_pairs(heights, p, a, b)
-        hp += dp
-        hm += dm
-        heights[:p] = [h + 1 for h in heights[:p]]
-    return hp, hm
-
-
-def _row_pairs(heights, x, a, b):
-    """(h+, h-) cells of a row of length x put on columns of heights
-    heights: column j has arm x-j and leg heights[j-1] (see h_plus)."""
-    hp = hm = 0
-    for arm, leg in zip(range(x - 1, -1, -1), heights):
-        v = a * arm - b * leg
-        if -a <= v <= b:
-            if v != -a:
-                hp += 1
-            if v != b:
-                hm += 1
-    return hp, hm
 
 
 def _north_pairs(easts, level, n):
@@ -257,83 +153,3 @@ def frame_entries(a, b):
         push((word + "N", easts, x, rows + 1, size + x, pos + b, low,
               hp + (easts >> (pos + g) & window).bit_count(),
               hm + (easts >> pos & window).bit_count()))
-
-
-def min_level(mu, a, b):
-    """Minimum level on the frontier of mu; zero iff mu is in the triangle."""
-    return _word_stats(frontier(mu, a, b), a, b)[1]
-
-
-def h_via_levels(mu, a, b, sign):
-    """h+/h- computed from frontier levels instead of arm/leg windows.
-
-    sign '+': pairs i < j with w_i = E, w_j = N, 1 <= l_{i-1} - l_{j-1} <= a+b.
-    sign '-': pairs i < j with w_i = E, w_j = N, 1 <= l_j - l_i <= a+b.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    return _word_stats(frontier(mu, a, b), a, b)[2 if sign == "+" else 3]
-
-
-def cshift_partition(mu, a, b):
-    """The partition whose frontier is the one-step cyclic shift of mu's."""
-    return partition_of_frontier(cyclic_shift(frontier(mu, a, b), 1), a, b)
-
-
-def orbit(mu0, a, b):
-    """The a+b successive cyclic shifts of mu0, starting at mu0."""
-    out = [normalize(mu0)]
-    for _ in range(a + b - 1):
-        out.append(cshift_partition(out[-1], a, b))
-    return out
-
-
-def orbit_decompose(a, b):
-    """Partition the a x b box into cyclic-shift orbits, one triangle
-    representative each; verifies sizes, coverage, and |mu0| = |mu| + ml."""
-    if gcd(a, b) != 1:
-        raise ValueError("orbit decomposition requires gcd(a,b)=1")
-    seen = set()
-    orbits = []
-    for mu0 in enumerate_triangle(a, b):
-        members = orbit(mu0, a, b)
-        if len(set(members)) != a + b:
-            raise AssertionError(f"orbit of {mu0} has repeated members")
-        in_tri = [m for m in members if in_triangle(m, a, b)]
-        if in_tri != [mu0]:
-            raise AssertionError(f"orbit of {mu0} meets the triangle at {in_tri}")
-        for m in members:
-            if size(mu0) != size(m) + min_level(m, a, b):
-                raise AssertionError(f"|mu0| != |mu| + ml for {m} in orbit of {mu0}")
-        seen.update(members)
-        orbits.append((mu0, members))
-    box = set(enumerate_box(a, b))
-    if seen != box:
-        raise AssertionError("orbits do not cover the box")
-    return orbits
-
-
-def lem3_check(mu0, a, b):
-    """Orbit h+ values are h+(mu0)+0..a+b-1, with the member of minimum level
-    -i_k landing at offset k, where i_k are the sorted frontier levels of mu0."""
-    mu0 = normalize(mu0)
-    if not in_triangle(mu0, a, b):
-        raise ValueError(f"{mu0} is not in the ({a},{b}) triangle")
-
-    def stats(word):
-        mu = partition_of_frontier(word, a, b)
-        return min_level(mu, a, b), h_plus(mu, a, b)
-
-    return _orbit_indexing_holds(frontier(mu0, a, b), a, b, stats)
-
-
-def _orbit_indexing_holds(word0, a, b, stats):
-    """The check of lem3_check on the orbit of the triangle word word0, with
-    stats: frontier word -> (ml, h+) for the a+b cyclic shifts of word0."""
-    n = a + b
-    found = [stats(cyclic_shift(word0, k)) for k in range(n)]
-    base = found[0][1]
-    if sorted(h for _, h in found) != list(range(base, base + n)):
-        return False
-    sorted_levels = sorted(levels(word0, a, b)[:n])
-    return all(h - base == sorted_levels.index(-ml) for ml, h in found)

@@ -48,12 +48,6 @@ def levels(word, a, b):
     return out
 
 
-def is_dyck(word, a, b):
-    """True iff the word stays weakly above y = (a/b) x."""
-    _validate_counts(word, a, b)
-    return min(levels(word, a, b)) >= 0
-
-
 def enumerate_dyck(a, b):
     """Every (a,b)-Dyck path once, in lex order of words with N < E, as an
     iterator; negative counts raise ValueError at the call."""
@@ -108,10 +102,6 @@ def area(d: DyckPath):
     for j, xj in enumerate(east_counts(d.word), start=1):
         total += max(0, b * (j - 1) // a - xj)
     return total
-
-
-def max_area(a, b):
-    return (a - 1) * (b - 1) // 2
 
 
 def run_structure(word):

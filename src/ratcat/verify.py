@@ -36,8 +36,6 @@ from .parking import (
     zeta,
 )
 from .partitions import (
-    _orbit_indexing_holds,
-    _row_pairs,
     _word_stats,
     frame_entries,
     length,
@@ -48,8 +46,10 @@ from .partitions import (
 from .paths import (
     count_by_runs,
     count_dyck,
+    cyclic_shift,
     enumerate_dyck,
     enumerate_dyck_words,
+    levels,
     maj,
     run_structure,
     sweep,
@@ -140,8 +140,11 @@ def _claim(name, *params):
 # (partition_of_frontier) only for a witness. conj_rat_qcat needs only the
 # triangle and walks the Dyck words instead.
 #
-# The helpers below serve only these checkers, so they live here and not in
-# partitions.py, which every command imports and compiles.
+# The level route (frame_entries, _word_stats) lives in partitions.py and
+# the arm/leg route (_arm_leg_walk, _row_pairs) here: they are the two sides
+# of lem_h_via_labels and share no helper. The helpers below serve only these
+# checkers, so they live here and not in partitions.py, which every command
+# imports and compiles.
 
 
 def _box_entries(a, b, counters):
@@ -159,9 +162,9 @@ def _arm_leg_walk(a, b):
     The walk takes the same steps (depth first, N child first) and writes
     its own word. An N step at x lays a row of length x on top of the rows
     already down, and the column heights of those rows give the legs of its
-    cells (_row_pairs, as in _h_pair). The E steps after the last row change
-    nothing, so a prefix with a - 1 rows yields its leaves at once, one per
-    length of that row.
+    cells (_row_pairs). The E steps after the last row change nothing, so
+    a prefix with a - 1 rows yields its leaves at once, one per length of
+    that row.
     """
     if not a:
         yield "E" * b, 0, 0
@@ -181,6 +184,22 @@ def _arm_leg_walk(a, b):
         dp, dm = _row_pairs(heights, x, a, b)
         push((word + "N", tuple([h + 1 for h in heights[:x]]) + heights[x:],
               x, rows + 1, hp + dp, hm + dm))
+
+
+def _row_pairs(heights, x, a, b):
+    """(h+, h-) cells of a row of length x put on columns of heights
+    heights: column j has arm x-j and leg heights[j-1], and with
+    v = a*arm - b*leg, h+ counts the cells with -a < v <= b and h- those
+    with -a <= v < b."""
+    hp = hm = 0
+    for arm, leg in zip(range(x - 1, -1, -1), heights):
+        v = a * arm - b * leg
+        if -a <= v <= b:
+            if v != -a:
+                hp += 1
+            if v != b:
+                hm += 1
+    return hp, hm
 
 
 def _shift_increments(w, a, b):
@@ -259,21 +278,35 @@ def check_conj_nonstd_qbin(a, b, counters):
 
 @_claim("thm_ratcat", "a", "b")
 def check_thm_ratcat(a, b, counters):
-    """Box sum factors as [a+b]_q times the triangle sum, and every orbit
-    passes the fine shift-indexing check."""
+    """Box sum factors as [a+b]_q times the triangle sum, and the orbit of
+    every triangle word under cyclic shifts has the shape the factorisation
+    rests on.
+
+    The orbit of a triangle word w0 (mu0) is its n = a+b shifts. Their h+
+    are h+(w0)+0..n-1, the shift with minimum level ml sits at the offset
+    of -ml among the sorted levels of w0, and |mu| + ml = |mu0| on each.
+    The rest of the orbit decomposition of the box follows. Distinct h+
+    make the n shifts distinct. Offset 0 is w0's lowest level, 0, so
+    exactly one shift has ml = 0: an orbit holds one triangle word, and
+    the orbits of distinct triangle words are disjoint. With
+    box(1) = n * tri(1), they cover the box.
+    """
     table = dict(_box_entries(a, b, counters))  # word: (|mu|, ml, h+, h-)
     triangle = [w for w, s in table.items() if s[1] == 0]
     box = _q_sum(size + ml + hp for size, ml, hp, _ in table.values())
     tri = _q_sum(table[w][0] + table[w][2] for w in triangle)
     if box != q_int(a + b) * tri:
         return {"box": box.to_json(), "tri": tri.to_json()}
-
-    def stats(word):
-        return table[word][1:3]  # (ml, h+)
-
-    for w in triangle:
-        if not _orbit_indexing_holds(w, a, b, stats):
-            return {"orbit_rep": list(partition_of_frontier(w, a, b))}
+    n = a + b
+    for w0 in triangle:
+        size0, _, base, _ = table[w0]
+        # the levels before w0's n steps, distinct as gcd(a, b) = 1, by rank
+        offset = {lv: i for i, lv in enumerate(sorted(levels(w0, a, b)[:n]))}
+        shifts = [table[cyclic_shift(w0, k)] for k in range(n)]
+        if (sorted(hp for _, _, hp, _ in shifts) != list(range(base, base + n))
+                or any(size + ml != size0 or offset.get(-ml) != hp - base
+                       for size, ml, hp, _ in shifts)):
+            return {"orbit_rep": list(partition_of_frontier(w0, a, b))}
 
 
 @_claim("lem_h_via_labels", "a", "b")

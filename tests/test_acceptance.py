@@ -35,14 +35,7 @@ from ratcat.parking import (
     stretch_to_ppp,
     zeta,
 )
-from ratcat.partitions import (
-    enumerate_box,
-    enumerate_triangle,
-    frontier,
-    h_plus,
-    min_level,
-    size,
-)
+from ratcat.partitions import frame_entries, partition_of_frontier
 from ratcat.paths import DyckPath, area, count_dyck, enumerate_dyck, levels, sweep
 from ratcat.qt import q_binomial, q_binomial_boxcount, rational_q_catalan
 from ratcat.symfunc import basis_convert, single
@@ -159,22 +152,24 @@ def test_criterion_2_worked_examples():
         0, 8, 16, 11, 6, 14, 9, 17, 12, 7, 2, 10, 5, 0,
     ]
 
-    # arm/leg window count on a named partition
-    assert h_plus((6, 3, 2), 5, 8) == 9
+    # h+ on a named partition, read off the box walk by its frontier word
+    assert partition_of_frontier("NNEENENEEENEE", 5, 8) == (6, 3, 2)
+    assert dict(frame_entries(5, 8))["NNEENENEEENEE"][2] == 9
 
-    # per-partition tables: (3,5) under the diagonal, full (2,3) box
-    assert set(enumerate_triangle(3, 5)) == set(TRIANGLE_3_5)
+    # per-partition tables: (3,5) under the diagonal, full (2,3) box, each
+    # row read off the walk's entry at its frontier word
+    triangle = {w: s for w, s in frame_entries(3, 5) if s[1] == 0}
+    assert len(triangle) == len(TRIANGLE_3_5)
     for mu, (w, sz, hp, total) in TRIANGLE_3_5.items():
-        assert frontier(mu, 3, 5) == w
-        assert size(mu) == sz
-        assert h_plus(mu, 3, 5) == hp
+        assert partition_of_frontier(w, 3, 5) == mu
+        assert triangle[w][0] == sz
+        assert triangle[w][2] == hp
         assert sz + hp == total
-    assert set(enumerate_box(2, 3)) == set(BOX_2_3)
+    box = dict(frame_entries(2, 3))
+    assert len(box) == len(BOX_2_3)
     for mu, (w, sz, ml, hp, total) in BOX_2_3.items():
-        assert frontier(mu, 2, 3) == w
-        assert size(mu) == sz
-        assert min_level(mu, 2, 3) == ml
-        assert h_plus(mu, 2, 3) == hp
+        assert partition_of_frontier(w, 2, 3) == mu
+        assert box[w][:3] == (sz, ml, hp)
         assert sz + ml + hp == total
 
 

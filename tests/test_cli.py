@@ -229,6 +229,49 @@ def test_threads_flag_is_ignored(capsys):
     plain = run(capsys, "enumerate", "3", "5")
     assert run(capsys, "enumerate", "3", "5", "--threads", "2") == plain
     assert plain[0] == 0
+    golden = run(capsys, "golden")
+    assert run(capsys, "golden", "--threads", "1") == golden
+    assert golden[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["catqt", "2", "3", "--format", "tex"],
+    ["qcat", "2", "3", "--format", "json"],
+    ["pfqt", "2", "3", "--format", "json"],
+    ["frob", "2", "3", "--basis", "p"],
+    ["enumerate", "2", "4"],
+    ["sweep", "NENEE", "2", "3"],
+    ["zeta", "2", "1", "1"],
+    ["verify", "qbin_recursion", "--range", "1"],
+])
+def test_out_file_holds_what_stdout_would(tmp_path, capsys, argv):
+    # every command but golden writes its result to --out
+    target = tmp_path / "out.txt"
+    plain = run(capsys, *argv, "--threads", "1")
+    assert plain[0] == 0
+    assert run(capsys, *argv, "--threads", "1", "--out", str(target)) == (
+        0, "", "")
+    assert target.read_text() == plain[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["golden", "--out", "golden.txt"],
+    ["golden", "--format", "tex"],
+    ["frob", "3", "5", "--format", "tex"],
+    ["enumerate", "3", "5", "--format", "json"],
+    ["sweep", "NENEENEE", "3", "5", "--format", "json"],
+    ["zeta", "2", "1", "1", "--format", "json"],
+    ["verify", "all", "--format", "json"],
+])
+def test_options_a_command_would_ignore_exit_2(tmp_path, monkeypatch, capsys,
+                                               argv):
+    # --format is only for catqt, qcat and pfqt, --out for all but golden
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _use_tasks(monkeypatch, tasks):

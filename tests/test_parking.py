@@ -14,6 +14,7 @@ from ratcat.cli import GOLDEN_PF_FRAMES
 from ratcat.parking import (
     NotAParkingFunction,
     ParkingFunction,
+    _g_vector,
     _run_label_groups,
     area_prime,
     bezout_xy,
@@ -24,7 +25,6 @@ from ratcat.parking import (
     drw_rational,
     enumerate_pf,
     from_preference_vector,
-    gp_vectors,
     ides,
     labelings_of,
     max_stretched_dinv,
@@ -143,7 +143,7 @@ def test_kernel_dinv_range_check_survives_optimize(maxtdinv):
 def test_preference_vector_round_trip():
     P = from_preference_vector((2, 4, 1, 2, 1))
     assert P.word == "NNENNEENEE"
-    assert P.labels == (3, 5, 1, 4, 2)
+    assert tuple(P.labels) == (3, 5, 1, 4, 2)
     assert to_preference_vector(P) == (2, 4, 1, 2, 1)
     with pytest.raises(NotAParkingFunction):
         from_preference_vector((3, 3, 3))
@@ -168,9 +168,8 @@ def test_counts():
 
 def test_classical_example():
     P = from_preference_vector((2, 4, 1, 2, 1))
-    g, p = gp_vectors(P)
-    assert g == (0, 1, 1, 2, 1)
-    assert p == (3, 5, 1, 4, 2)
+    assert _g_vector(P.path) == (0, 1, 1, 2, 1)
+    assert tuple(P.labels) == (3, 5, 1, 4, 2)
     assert P.area() == 5
     assert dinv_classical(P) == 2
     assert drw_classical(P) == (4, 2, 1, 5, 3)

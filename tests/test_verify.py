@@ -13,7 +13,6 @@ from ratcat.parking import _label_tuples, _run_label_groups, enumerate_pf
 from ratcat.partitions import (
     _word_stats,
     frame_entries,
-    frontier,
     partition_of_frontier,
     partitions_of,
 )
@@ -213,7 +212,8 @@ PARTITION_CHECKERS = [
 def test_partition_checks_bite_on_a_changed_table(monkeypatch):
     # raise h+ and h- of one triangle entry by one: every check must fail
     mu = (2, 1)
-    word = frontier(mu, 3, 5)
+    word = "NENENEEE"
+    assert partition_of_frontier(word, 3, 5) == mu
 
     def changed(a, b):  # the one box walk all four box checks read
         for w, (size, ml, hp, hm) in frame_entries(a, b):
@@ -235,6 +235,41 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
         assert report.error is None, report.claim
         if chk in (check_lem_h_via_labels, check_lem_cyc_shift):
             assert report.witness["mu"] in (list(mu), list(before))
+
+
+def test_thm_ratcat_bites_on_a_moved_unit_of_size(monkeypatch):
+    # two words off the triangle, in different orbits, whose exponents
+    # |mu| + ml + h+ differ by one trade them when one unit of |mu| moves
+    # from one to the other: the box and triangle sums, every ml and every
+    # h+ stay, so only |mu| + ml = |mu0| along the orbits can see it
+    a, b = 3, 5
+    table = dict(frame_entries(a, b))
+    rep = {}  # word: the triangle word of its orbit
+    for w0, (_, ml, _, _) in table.items():
+        if ml == 0:
+            rep.update((cyclic_shift(w0, k), w0) for k in range(a + b))
+
+    def exponent(stats):
+        size, ml, hp, _ = stats
+        return size + ml + hp
+
+    low, high = next((u, v) for u in table for v in table
+                     if table[u][1] and table[v][1] and rep[u] != rep[v]
+                     and exponent(table[v]) == exponent(table[u]) + 1)
+    changed = dict(table)
+    for w, step in ((low, 1), (high, -1)):
+        size, ml, hp, hm = table[w]
+        changed[w] = (size + step, ml, hp, hm)
+    assert sorted(map(exponent, changed.values())) == sorted(
+        map(exponent, table.values()))
+
+    monkeypatch.setattr(ratcat.verify, "frame_entries",
+                        lambda a, b: iter(changed.items()))
+    report = check_thm_ratcat(a, b)
+    assert not report.passed
+    assert report.error is None
+    assert report.witness["orbit_rep"] in [
+        list(partition_of_frontier(rep[w], a, b)) for w in (low, high)]
 
 
 def test_triangle_frontier_words_are_the_dyck_words():
