@@ -143,7 +143,7 @@ def test_kernel_dinv_range_check_survives_optimize(maxtdinv):
 def test_preference_vector_round_trip():
     P = from_preference_vector((2, 4, 1, 2, 1))
     assert P.word == "NNENNEENEE"
-    assert tuple(P.labels) == (3, 5, 1, 4, 2)
+    assert P.labels == (3, 5, 1, 4, 2)
     assert to_preference_vector(P) == (2, 4, 1, 2, 1)
     with pytest.raises(NotAParkingFunction):
         from_preference_vector((3, 3, 3))
@@ -169,7 +169,7 @@ def test_counts():
 def test_classical_example():
     P = from_preference_vector((2, 4, 1, 2, 1))
     assert _g_vector(P.path) == (0, 1, 1, 2, 1)
-    assert tuple(P.labels) == (3, 5, 1, 4, 2)
+    assert P.labels == (3, 5, 1, 4, 2)
     assert P.area() == 5
     assert dinv_classical(P) == 2
     assert drw_classical(P) == (4, 2, 1, 5, 3)

@@ -148,10 +148,18 @@ def test_min_level():
 
 
 def test_cyclic_shift_orbits():
+    # the orbit of the empty partition in the 2 x 3 box, worked by hand: the
+    # shifts in order, their partitions and (|mu|, ml, h+, h-); each shift's
+    # h+ is the rank of -ml among the levels 0, 3, 6, 4, 2 of NNEEE
     table = dict(frame_entries(2, 3))
     members = [cyclic_shift("NNEEE", k) for k in range(5)]
-    assert len(set(members)) == 5
-    assert [w for w in members if table[w][1] == 0] == ["NNEEE"]
+    assert members == ["NNEEE", "NEEEN", "EEENN", "EENNE", "ENNEE"]
+    assert [partition_of_frontier(w, 2, 3) for w in members] == [
+        (), (3,), (3, 3), (2, 2), (1, 1)]
+    assert [table[w] for w in members] == [
+        (0, 0, 0, 0), (3, -3, 2, 2), (6, -6, 4, 4), (4, -4, 3, 3), (2, -2, 1, 1)]
+    rank = {lv: i for i, lv in enumerate(sorted(levels("NNEEE", 2, 3)[:5]))}
+    assert [rank[-table[w][1]] for w in members] == [table[w][2] for w in members]
 
 
 def test_orbit_decompose_covers_box():
