@@ -96,8 +96,10 @@ def main(argv=None):
                     "and parking functions.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int,
-                        default=len(os.sched_getaffinity(0)),
+    # macOS and Windows have no sched_getaffinity
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    common.add_argument("--threads", type=int, default=usable,
                         help="processes verify runs its checks on "
                              "(default: the usable processors)")
     sub = parser.add_subparsers(dest="command", required=True)

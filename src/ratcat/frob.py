@@ -1,6 +1,7 @@
 """Generating functions: Frobenius characteristics of rational parking
 functions in four independent ways, rational Schroeder numbers, q,t-Catalan
-polynomials, the q,t-parking-function series, and matrix rendering."""
+polynomials, the q,t-parking-function series, and matrix_of_poly, the one
+renderer of a q,t-polynomial as a grid of coefficients (plain or TeX)."""
 
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def frob_via_genfunc(a, b):
                     acc[lam] = acc.get(lam, 0) + c
         series = nxt
     return SymExpansion.build(
-        a, "m", {lam: Fraction(c, b) for lam, c in series[a].items()})
+        a, "m", {lam: exact_quotient(c, b) for lam, c in series[a].items()})
 
 
 def schroeder(a, b, k):
@@ -272,48 +273,22 @@ def hilbert_series(series):
 # -- matrix display --------------------------------------------------------
 
 
-class QTMatrix:
-    """Integer grid: entry [i][j] is the coefficient of q^i t^j."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("matrix must be rectangular and nonempty")
-        self.rows = [list(r) for r in rows]
-
-    def __eq__(self, other):
-        return isinstance(other, QTMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"QTMatrix({self.rows})"
-
-
-def to_matrix(p: LaurentQT) -> QTMatrix:
+def matrix_of_poly(p: LaurentQT, style="plain"):
+    """p as a grid: row i, column j holds the coefficient of q^i t^j, and '.'
+    stands for zero (the zero polynomial is one '.'). Plain: entries
+    right-aligned to one width, single-space separated. TeX: ' & '
+    separated, no padding. Exponents must be nonnegative."""
     triples = p.terms()
     if any(qe < 0 or te < 0 for qe, te, _ in triples):
         raise ValueError("matrix display needs nonnegative exponents")
-    if not triples:
-        return QTMatrix([[0]])
-    nrow = max(qe for qe, _, _ in triples) + 1
-    ncol = max(te for _, te, _ in triples) + 1
-    rows = [[0] * ncol for _ in range(nrow)]
+    nrow = max((qe for qe, _, _ in triples), default=0) + 1
+    ncol = max((te for _, te, _ in triples), default=0) + 1
+    cells = [["."] * ncol for _ in range(nrow)]
     for qe, te, c in triples:
-        rows[qe][te] = c
-    return QTMatrix(rows)
-
-
-def render_matrix(m: QTMatrix, style="plain"):
-    """Plain: right-aligned entries, single-space separated, '.' for zero.
-    TeX: ' & ' separated, no padding."""
-    cells = [[("." if v == 0 else str(v)) for v in row] for row in m.rows]
+        cells[qe][te] = str(c)
     if style == "plain":
         width = max(len(c) for row in cells for c in row)
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
     if style == "tex":
         return "\n".join(" & ".join(row) for row in cells)
     raise ValueError(f"unknown style {style!r}")
-
-
-def matrix_of_poly(p: LaurentQT, style="plain"):
-    return render_matrix(to_matrix(p), style)

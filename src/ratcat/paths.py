@@ -1,5 +1,5 @@
 """Lattice words in {N, E}: levels, Dyck tests, enumeration, area, runs,
-cyclic shifts, the sweep map, and maj on classical Dyck words."""
+cyclic shifts, the sweep map, and maj."""
 
 from __future__ import annotations
 
@@ -161,30 +161,9 @@ def sweep(d: DyckPath) -> DyckPath:
         ) from exc
 
 
-def is_dyck_word(w):
-    """Classical Dyck word over {0,1}: every prefix has #0 >= #1."""
-    bal = 0
-    for ch in w:
-        if ch == "0":
-            bal += 1
-        elif ch == "1":
-            bal -= 1
-        else:
-            return False
-        if bal < 0:
-            return False
-    return bal == 0
-
-
-def maj(w):
-    """Major index of a classical Dyck word: sum of descent positions."""
-    if not is_dyck_word(w):
-        raise ValueError(f"{w!r} is not a Dyck word over {{0,1}}")
-    return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-
-def enumerate_dyck_words(n):
-    """All classical Dyck words of order n (n zeroes, n ones), lex order."""
-    for d in enumerate_dyck(n, n):
-        # N at level-raise plays the role of 0 here: prefix #0 >= #1
-        yield d.word.replace("N", "0").replace("E", "1")
+def maj(d: DyckPath):
+    """Major index of a Dyck path: the sum of the positions i (from 1) at
+    which an E step is followed by an N step. On a classical (n,n) path,
+    read N as 0 and E as 1, these are the descents of the Dyck word."""
+    w = d.word
+    return sum(i for i in range(1, len(w)) if w[i - 1] == "E" and w[i] == "N")

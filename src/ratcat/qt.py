@@ -2,8 +2,11 @@
 
 Values are immutable and hashable; every operation returns a new polynomial.
 Coefficients are exact integers (Fractions appear only when a caller divides
-by a scalar, e.g. in power-sum expansions) and zero coefficients are never
-stored, so equality of term maps is equality of values.
+by a scalar, e.g. in power-sum expansions). Equality of values is equality
+of term maps, so every value is kept in one canonical form: no zero
+coefficient is stored, and an integral Fraction is stored as an int.
+`_canonical` is the only place that enforces that form and the only place
+that makes a value: the constructor and every operation end in it.
 """
 
 from __future__ import annotations
@@ -26,11 +29,33 @@ def exact_quotient(num, den):
 
 
 def _norm_coeff(c):
-    # an exact type test: isinstance would go through the numbers ABCs on
-    # every coefficient of every add, multiply and divide
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
+    """A scalar in canonical form: an integral Fraction as an int."""
+    return int(c) if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _canonical(pairs, base=None):
+    """The LaurentQT base + the sum of c q^qe t^te over pairs ((qe, te), c).
+
+    Each key a pair reaches is summed with plain +, then dropped if zero or
+    turned into an int if an integral Fraction; base, a canonical term map
+    or None, is copied as it is. So adding a polynomial visits only the
+    keys of the other, and a caller that sums colliding terms itself first,
+    as a product does, has each key brought to the form once.
+    """
+    tm = {} if base is None else dict(base)
+    get = tm.get
+    for k, c in pairs:
+        c = get(k, 0) + c
+        if not c:
+            tm.pop(k, None)
+        # an exact type test: isinstance would go through the numbers ABCs
+        elif type(c) is Fraction and c.denominator == 1:
+            tm[k] = int(c)
+        else:
+            tm[k] = c
+    out = LaurentQT.__new__(LaurentQT)
+    out._terms = tm
+    return out
 
 
 class LaurentQT:
@@ -43,18 +68,10 @@ class LaurentQT:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        tm = {}
-        if terms:
-            for (qe, te), c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _norm_coeff(c)
-                if c:
-                    cur = tm.get((qe, te), 0) + c
-                    cur = _norm_coeff(cur)
-                    if cur:
-                        tm[(qe, te)] = cur
-                    else:
-                        tm.pop((qe, te), None)
-        self._terms = tm
+        """terms: a map or an iterable of ((q_exp, t_exp), coeff) pairs;
+        coefficients of a repeated key add up."""
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        self._terms = _canonical(((qe, te), c) for (qe, te), c in pairs)._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -101,45 +118,29 @@ class LaurentQT:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        tm = dict(self._terms)
-        for k, c in other._terms.items():
-            cur = _norm_coeff(tm.get(k, 0) + c)
-            if cur:
-                tm[k] = cur
-            else:
-                tm.pop(k, None)
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = tm
-        return out
+        return _canonical(self.coerce(other)._terms.items(), self._terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return _canonical((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        negated = ((k, -c) for k, c in self.coerce(other)._terms.items())
+        return _canonical(negated, self._terms)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self.coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         tm = {}
+        get = tm.get
         for (q1, t1), c1 in self._terms.items():
             for (q2, t2), c2 in other._terms.items():
                 k = (q1 + q2, t1 + t2)
-                cur = _norm_coeff(tm.get(k, 0) + c1 * c2)
-                if cur:
-                    tm[k] = cur
-                else:
-                    tm.pop(k, None)
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = tm
-        return out
+                tm[k] = get(k, 0) + c1 * c2
+        return _canonical(tm.items())
 
     __rmul__ = __mul__
 
@@ -156,7 +157,9 @@ class LaurentQT:
         return result
 
     @staticmethod
-    def _coerce(x):
+    def coerce(x):
+        """x as a LaurentQT: a LaurentQT as it is, an int or Fraction as a
+        constant; anything else raises TypeError."""
         if isinstance(x, LaurentQT):
             return x
         if isinstance(x, (int, Fraction)):
@@ -174,7 +177,7 @@ class LaurentQT:
         box proves the division inexact, and the lex-decreasing leading term
         guarantees termination inside it.
         """
-        divisor = self._coerce(divisor)
+        divisor = self.coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -203,14 +206,12 @@ class LaurentQT:
             quot[mono] = c
             for (qe, te), dc in divisor._terms.items():
                 k = (qe + mono[0], te + mono[1])
-                cur = _norm_coeff(rem.get(k, 0) - c * dc)
+                cur = rem.get(k, 0) - c * dc
                 if cur:
                     rem[k] = cur
                 else:
                     rem.pop(k, None)
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = quot
-        return out
+        return _canonical(quot.items())
 
     # -- specializations ---------------------------------------------------
 
@@ -224,21 +225,12 @@ class LaurentQT:
         return _norm_coeff(Fraction(total))
 
     def swap_q_t(self):
-        return LaurentQT({(te, qe): c for (qe, te), c in self._terms.items()})
+        return _canonical(((te, qe), c) for (qe, te), c in self._terms.items())
 
     def specialize_t(self, t_as_q_power, q_shift=0):
         """Substitute t -> q**t_as_q_power, then multiply by q**q_shift."""
-        tm = {}
-        for (qe, te), c in self._terms.items():
-            k = (qe + te * t_as_q_power + q_shift, 0)
-            cur = _norm_coeff(tm.get(k, 0) + c)
-            if cur:
-                tm[k] = cur
-            else:
-                tm.pop(k, None)
-        out = LaurentQT.__new__(LaurentQT)
-        out._terms = tm
-        return out
+        return _canonical(((qe + te * t_as_q_power + q_shift, 0), c)
+                          for (qe, te), c in self._terms.items())
 
     # -- serialization and display -----------------------------------------
 
@@ -282,9 +274,7 @@ ONE = LaurentQT.const(1)
 
 
 def _from_dense(coeffs):
-    out = LaurentQT.__new__(LaurentQT)
-    out._terms = {(e, 0): c for e, c in enumerate(coeffs) if c}
-    return out
+    return _canonical(((e, 0), c) for e, c in enumerate(coeffs))
 
 
 def _times_q_int(p, j):

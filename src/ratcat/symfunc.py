@@ -34,12 +34,6 @@ from .qt import LaurentQT, exact_quotient
 BASES = ("m", "h", "p", "s")
 
 
-def _as_poly(c):
-    if isinstance(c, LaurentQT):
-        return c
-    return LaurentQT.const(c)
-
-
 @dataclass(frozen=True)
 class SymExpansion:
     """A homogeneous symmetric function in one of the m, h, p, s bases."""
@@ -61,7 +55,7 @@ class SymExpansion:
     def build(cls, degree, basis, mapping):
         items = []
         for mu, c in mapping.items():
-            c = _as_poly(c)
+            c = LaurentQT.coerce(c)
             if not c.is_zero():
                 items.append((normalize(mu), c))
         items.sort(reverse=True)
@@ -76,12 +70,6 @@ class SymExpansion:
             if key == mu:
                 return c
         return LaurentQT.zero()
-
-    def scale(self, c):
-        c = _as_poly(c)
-        return SymExpansion.build(
-            self.degree, self.basis, {mu: v * c for mu, v in self.coeffs}
-        )
 
     def __add__(self, other):
         if self.basis != other.basis or self.degree != other.degree:
@@ -374,7 +362,7 @@ def _to_m(f: SymExpansion):
     out = {}
     for lam, c in f.coeffs:
         for mu, base_c in _basis_in_m(f.basis, lam).coeffs:
-            out[mu] = out.get(mu, LaurentQT.zero()) + c * _as_poly(base_c)
+            out[mu] = out.get(mu, LaurentQT.zero()) + c * base_c
     return SymExpansion.build(f.degree, "m", out)
 
 
@@ -387,7 +375,7 @@ def _m_to_s(f: SymExpansion):
         c = rem[lam]
         out[lam] = c
         for mu, k in _basis_in_m("s", lam).coeffs:
-            cur = rem.get(mu, LaurentQT.zero()) - c * _as_poly(k)
+            cur = rem.get(mu, LaurentQT.zero()) - c * k
             if cur.is_zero():
                 rem.pop(mu, None)
             else:
@@ -412,7 +400,7 @@ def _m_to_p(f: SymExpansion):
         c = rem[lam] * Fraction(1, lead)
         out[lam] = c
         for mu, pc in _basis_in_m("p", lam).coeffs:
-            cur = rem.get(mu, LaurentQT.zero()) - c * _as_poly(pc)
+            cur = rem.get(mu, LaurentQT.zero()) - c * pc
             if cur.is_zero():
                 rem.pop(mu, None)
             else:

@@ -12,7 +12,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from math import gcd
 
 from .frob import (
@@ -48,7 +48,6 @@ from .paths import (
     count_dyck,
     cyclic_shift,
     enumerate_dyck,
-    enumerate_dyck_words,
     levels,
     maj,
     run_structure,
@@ -227,15 +226,6 @@ def _shift_increments(w, a, b):
     return sign * pairs, sign * lv
 
 
-def _q_sum(exponents, counts=repeat(1)):
-    """Sum of c q^e over the exponents e with their counts c (one each by
-    default), as one LaurentQT."""
-    poly = {}
-    for e, c in zip(exponents, counts):
-        poly[e] = poly.get(e, 0) + c
-    return LaurentQT({(e, 0): c for e, c in poly.items()})
-
-
 @_claim("conj_rat_qcat", "a", "b")
 def check_conj_rat_qcat(a, b, counters):
     """Triangle sum of q^(|mu| + h) equals the rational q-Catalan number,
@@ -255,7 +245,7 @@ def check_conj_rat_qcat(a, b, counters):
             f"walked {len(tri)} Dyck words, count_dyck gives "
             f"{count_dyck(a, b)}, Cat_{{a,b}}(1) is {target.evaluate()}")
     for tag, k in (("h+", 2), ("h-", 3)):  # k: where h sits in stats
-        total = _q_sum(s[0] + s[k] for s in tri)
+        total = LaurentQT(Counter((s[0] + s[k], 0) for s in tri))
         if total != target:
             return {"variant": tag, "sum": total.to_json(),
                     "target": target.to_json()}
@@ -270,7 +260,7 @@ def check_conj_nonstd_qbin(a, b, counters):
                    for _, (size, ml, hp, hm) in frame_entries(a, b))
     counters["box_words"] = sum(hist.values())
     for tag, k in (("h+", 0), ("h-", 1)):
-        total = _q_sum((key[k] for key in hist), hist.values())
+        total = LaurentQT(((key[k], 0), n) for key, n in hist.items())
         if total != target:
             return {"variant": tag, "sum": total.to_json(),
                     "target": target.to_json()}
@@ -293,8 +283,9 @@ def check_thm_ratcat(a, b, counters):
     """
     table = dict(_box_entries(a, b, counters))  # word: (|mu|, ml, h+, h-)
     triangle = [w for w, s in table.items() if s[1] == 0]
-    box = _q_sum(size + ml + hp for size, ml, hp, _ in table.values())
-    tri = _q_sum(table[w][0] + table[w][2] for w in triangle)
+    box = LaurentQT(Counter((size + ml + hp, 0)
+                            for size, ml, hp, _ in table.values()))
+    tri = LaurentQT(Counter((table[w][0] + table[w][2], 0) for w in triangle))
     if box != q_int(a + b) * tri:
         return {"box": box.to_json(), "tri": tri.to_json()}
     n = a + b
@@ -399,7 +390,7 @@ def check_conj_abpf(a, b, counters):
 @_claim("macmahon_maj", "n")
 def check_macmahon(n, counters):
     """Major index on Dyck words is distributed by Cat_{n,n+1}(q)."""
-    total = _q_sum(maj(w) for w in enumerate_dyck_words(n))
+    total = LaurentQT(Counter((maj(d), 0) for d in enumerate_dyck(n, n)))
     target = rational_q_catalan(n, n + 1)
     if total != target:
         return {"sum": total.to_json(), "target": target.to_json()}

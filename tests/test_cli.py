@@ -234,6 +234,27 @@ def test_threads_flag_is_ignored(capsys):
     assert golden[0] == 0
 
 
+@pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
+def test_threads_default_without_sched_getaffinity(monkeypatch, capsys, cpus,
+                                                   threads):
+    # macOS and Windows have no os.sched_getaffinity: the default falls back
+    # to os.cpu_count(), or 1 where that is unknown
+    want = run(capsys, "qcat", "2", "3")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run(capsys, "qcat", "2", "3") == want
+    assert want[0] == 0
+    seen = []
+
+    def no_checks(bound, claim, workers):
+        seen.append(workers)
+        yield from ()
+
+    monkeypatch.setattr(ratcat.verify, "run_sweep", no_checks)
+    assert main(["verify"]) == 0
+    assert seen == [threads]
+
+
 @pytest.mark.parametrize("argv", [
     ["catqt", "2", "3", "--format", "tex"],
     ["qcat", "2", "3", "--format", "json"],

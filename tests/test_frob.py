@@ -11,7 +11,6 @@ import pytest
 from ratcat.cli import GOLDEN_PF_FRAMES
 import ratcat.parking as parking
 from ratcat.frob import (
-    QTMatrix,
     _descent_histogram,
     _descent_set_fold,
     cat_qt,
@@ -24,9 +23,7 @@ from ratcat.frob import (
     hilbert_series,
     matrix_of_poly,
     pf_qt,
-    render_matrix,
     schroeder,
-    to_matrix,
 )
 from ratcat.parking import (
     _classical_terms,
@@ -331,6 +328,23 @@ def test_frob_s_divisibility_check_survives_optimize():
     assert out.stdout == "raised\n"
 
 
+def test_frob_genfunc_divisibility_check_survives_optimize():
+    # the m-coefficients of [H]^b are multiples of b; with products that
+    # break this, the division by b must raise under -O, not leave 4/5
+    code = (
+        "import ratcat.frob as f\n"
+        "f._m_product = lambda x, y, i, j: {(i + j,): 1}\n"
+        "try:\n"
+        "    f.frob_via_genfunc(3, 5)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "4 is not divisible by 5\n"
+
+
 def _varpoly_frob_via_genfunc(a, b):
     """The frob_via_genfunc body the m-basis products replaced: each h_i an
     explicit polynomial in a variables, the t-series truncated at degree a."""
@@ -500,18 +514,26 @@ def test_trivial_coefficient_is_cat_qt():
 
 
 def test_to_matrix():
-    assert to_matrix(ONE).rows == [[1]]
-    assert to_matrix(Q + T).rows == [[0, 1], [1, 0]]
+    # the grid matrix_of_poly lays out: row i, column j holds q^i t^j
+    assert matrix_of_poly(ONE) == "1"
+    assert matrix_of_poly(Q + T) == ". 1\n1 ."
+    assert matrix_of_poly(LaurentQT.zero()) == "."
+    assert matrix_of_poly(T * 3 + Q * Q * -2) == " .  3\n .  .\n-2  ."
     with pytest.raises(ValueError):
-        to_matrix(LaurentQT.monomial(-1, 0))
+        matrix_of_poly(LaurentQT.monomial(-1, 0))
+    with pytest.raises(ValueError):
+        matrix_of_poly(LaurentQT.monomial(1, -1), "tex")
 
 
 def test_render_matrix():
-    m = QTMatrix([[0, 1], [1, 0]])
-    assert render_matrix(m) == ". 1\n1 ."
-    assert render_matrix(m, "tex") == ". & 1\n1 & ."
-    wide = QTMatrix([[0, 10], [1, 0]])
-    assert render_matrix(wide) == " . 10\n 1  ."
+    # the two styles, and the one width of a plain grid
+    assert matrix_of_poly(Q + T, "tex") == ". & 1\n1 & ."
+    assert matrix_of_poly(LaurentQT.zero(), "tex") == "."
+    wide = Q + T * 10
+    assert matrix_of_poly(wide) == " . 10\n 1  ."
+    assert matrix_of_poly(wide, "tex") == ". & 10\n1 & ."
+    with pytest.raises(ValueError, match="unknown style"):
+        matrix_of_poly(Q + T, "html")
 
 
 def test_matrix_of_poly_cat_3_5():

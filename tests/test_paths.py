@@ -1,5 +1,7 @@
 """Lattice paths: levels, enumeration, area, runs, sweep, maj."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from ratcat.paths import (
     cyclic_shift,
     east_counts,
     enumerate_dyck,
-    enumerate_dyck_words,
     levels,
     maj,
     run_structure,
@@ -124,8 +125,14 @@ def test_cyclic_shift_round_trip(w, k):
 
 
 def test_maj_and_dyck_words():
-    words = list(enumerate_dyck_words(3))
-    assert len(words) == 5
-    assert maj("010011") == 2  # descent at position 2
+    paths = list(enumerate_dyck(3, 3))
+    assert len(paths) == 5
+    assert maj(DyckPath("NENNEE", 3, 3)) == 2  # E then N at position 2
+    assert [maj(d) for d in paths] == [0, 3, 4, 2, 6]
+    for n in range(1, 8):
+        for d in enumerate_dyck(n, n):
+            # the valleys EN, each at the position of its E
+            valleys = [m.start() + 1 for m in re.finditer("(?=EN)", d.word)]
+            assert maj(d) == sum(valleys), d.word
     with pytest.raises(ValueError):
-        maj("0110")  # prefix dips
+        DyckPath("NEEN", 2, 2)  # the prefix NEE dips below the diagonal

@@ -124,6 +124,93 @@ def test_json_round_trip(p):
     assert LaurentQT.from_json(p.to_json()) == p
 
 
+# Fraction coefficients with small denominators on few keys, so that terms
+# collide, cancel to zero and add up to integers
+small_exponents = st.integers(min_value=-2, max_value=2)
+scalars = st.one_of(
+    coeffs, st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])))
+term_pairs = st.lists(
+    st.tuples(st.tuples(small_exponents, small_exponents), scalars), max_size=8)
+
+
+def _per_term(pairs):
+    """Reference: the term map of the sum of pairs, with each coefficient
+    normalised and each zero popped as every term is added."""
+    def norm(c):
+        return int(c) if type(c) is Fraction and c.denominator == 1 else c
+
+    tm = {}
+    for k, c in pairs:
+        cur = norm(tm.get(k, 0) + norm(c))
+        if cur:
+            tm[k] = cur
+        else:
+            tm.pop(k, None)
+    return tm
+
+
+def _terms_of(p):
+    return {(qe, te): c for qe, te, c in p.terms()}
+
+
+def _assert_canonical(p):
+    for _, _, c in p.terms():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=150)
+@given(term_pairs, term_pairs, st.integers(-2, 2), st.integers(-3, 3))
+def test_operations_match_per_term_normalisation(x, y, power, shift):
+    p, q = LaurentQT(x), LaurentQT(y)
+    pt, qt = _per_term(x), _per_term(y)
+    cases = [
+        (p, pt),
+        (p + q, _per_term([*pt.items(), *qt.items()])),
+        (p - q, _per_term([*pt.items(), *((k, -c) for k, c in qt.items())])),
+        (p * q, _per_term(((q1 + q2, t1 + t2), c1 * c2)
+                          for (q1, t1), c1 in pt.items()
+                          for (q2, t2), c2 in qt.items())),
+        (p.specialize_t(power, shift),
+         _per_term(((qe + te * power + shift, 0), c)
+                   for (qe, te), c in pt.items())),
+        (p.swap_q_t(), _per_term(((te, qe), c) for (qe, te), c in pt.items())),
+        (-p, _per_term((k, -c) for k, c in pt.items())),
+    ]
+    for got, want in cases:
+        assert _terms_of(got) == want
+        assert got == LaurentQT(want)
+        _assert_canonical(got)
+    # the constructor takes a map as well as pairs
+    assert _terms_of(LaurentQT(dict(x))) == _per_term(dict(x).items())
+
+
+@settings(max_examples=100)
+@given(st.lists(scalars, max_size=6))
+def test_constants_equal_and_hash_as_their_value(cs):
+    # a sum of Fraction constants that comes out integral is an int
+    value = sum(cs, Fraction(0))
+    for p in (LaurentQT([((0, 0), c) for c in cs]),
+              sum((LaurentQT.const(c) for c in cs), ZERO)):
+        _assert_canonical(p)
+        assert p == value and hash(p) == hash(value)
+        assert p.terms() == ([(0, 0, value)] if value else [])
+        if value.denominator == 1:
+            assert p == int(value) and hash(p) == hash(int(value))
+            assert all(type(c) is int for _, _, c in p.terms())
+
+
+def test_integral_fractions_are_stored_as_ints():
+    half = LaurentQT.monomial(1, 0, Fraction(1, 2))
+    for p in (half + half, half * 2, LaurentQT.monomial(1, 0, Fraction(4, 2)),
+              (half * half * 4).swap_q_t().swap_q_t()):
+        assert [type(c) for _, _, c in p.terms()] == [int]
+    assert (half - half).terms() == []
+    assert (half * Fraction(2, 3)).terms() == [(1, 0, Fraction(1, 3))]
+    assert (half * half * 4).terms() == [(2, 0, 1)]
+    assert hash(half + half) == hash(Q) and half + half == Q
+
+
 def test_q_int_and_factorial():
     assert q_int(0) == ZERO
     assert q_int(1) == ONE

@@ -142,9 +142,9 @@ def test_basis_examples():
         single(2, "s", (2,)) + single(2, "s", (1, 1))
     )
     assert basis_convert(single(2, "p", (2,)), "s") == (
-        single(2, "s", (2,)) + single(2, "s", (1, 1)).scale(-1)
+        single(2, "s", (2,)) + single(2, "s", (1, 1), -1)
     )
-    f = single(2, "s", (2,)).scale(2) + single(2, "s", (1, 1))
+    f = single(2, "s", (2,), 2) + single(2, "s", (1, 1))
     assert basis_convert(f, "h") == single(2, "h", (2,)) + single(2, "h", (1, 1))
 
 

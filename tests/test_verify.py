@@ -20,7 +20,6 @@ from ratcat.paths import (
     count_dyck,
     cyclic_shift,
     enumerate_dyck,
-    enumerate_dyck_words,
     levels,
     maj,
 )
@@ -436,8 +435,8 @@ def test_macmahon_counts_the_per_word_sum(monkeypatch):
                         lambda a, b: LaurentQT.zero())
     for n in range(1, 8):
         per_word = LaurentQT.zero()
-        for w in enumerate_dyck_words(n):
-            per_word = per_word + LaurentQT.monomial(maj(w), 0)
+        for d in enumerate_dyck(n, n):
+            per_word = per_word + LaurentQT.monomial(maj(d), 0)
         assert check_macmahon(n).witness["sum"] == per_word.to_json(), n
 
 
