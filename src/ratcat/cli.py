@@ -3,12 +3,15 @@ checked-in golden tables.
 
 `verify` runs its checks on `--threads` processes (default: the usable
 processors) and writes one JSONL line per check, in order, as soon as it
-is done; `verify <claim>` runs only that claim's checks.
+is done; `verify <claim>` runs only that claim's checks. `golden` likewise
+computes one table at a time and writes its `ok` or `DIFF` line as soon as
+that table is known.
 
 Exit codes: 0 success, 1 verification failure or a closed output pipe,
 2 bad user input (found before any computation starts), 3 computation
 contract violation (including a ValueError raised on valid input) or a
-crashed check.
+crashed check. Since `verify` and `golden` stream, exit 3 may follow lines
+already written.
 """
 
 from __future__ import annotations
@@ -57,22 +60,21 @@ def render_pf_blocks(series, style="plain"):
 
 
 def golden_tables():
-    """Regenerate every golden table; returns {filename: text}.
+    """Regenerate the golden tables one at a time: yields (filename, text)
+    in filename order, the Cat tables first.
 
     Each rational Catalan table is computed from both (a,b) and its
-    transposed frame, which must agree.
+    transposed frame, which must agree before it is yielded.
     """
-    tables = {}
     for a, b in GOLDEN_CAT_FRAMES:
         text = matrix_of_poly(cat_qt(a, b)) + "\n"
         if matrix_of_poly(cat_qt(b, a)) + "\n" != text:
             raise SweepContractError(
                 f"Cat tables for ({a},{b}) and ({b},{a}) differ"
             )
-        tables[f"cat_{a}_{b}.txt"] = text
+        yield f"cat_{a}_{b}.txt", text
     for a, b in GOLDEN_PF_FRAMES:
-        tables[f"pf_{a}_{b}.txt"] = render_pf_blocks(pf_qt(a, b)) + "\n"
-    return tables
+        yield f"pf_{a}_{b}.txt", render_pf_blocks(pf_qt(a, b)) + "\n"
 
 
 def _emit(text, out):
@@ -242,18 +244,15 @@ def _dispatch(args):
                     code = max(code, 1)
         return code
     elif args.command == "golden":
-        tables = golden_tables()
         root = _golden_dir()
-        bad = []
-        for name in sorted(tables):
+        code = 0
+        for name, text in golden_tables():
             path = Path(root, name)
-            on_disk = path.read_text() if path.exists() else None
-            ok = on_disk == tables[name]
-            print(f"{'ok  ' if ok else 'DIFF'} {name}")
+            ok = path.exists() and path.read_text() == text
+            print(f"{'ok  ' if ok else 'DIFF'} {name}", flush=True)
             if not ok:
-                bad.append(name)
-        if bad:
-            return 1
+                code = 1
+        return code
     return 0
 
 

@@ -29,7 +29,7 @@ from .partitions import (
     normalize,
     partitions_of,
 )
-from .qt import LaurentQT, exact_quotient
+from .qt import ZERO, LaurentQT, exact_quotient
 
 BASES = ("m", "h", "p", "s")
 
@@ -76,7 +76,7 @@ class SymExpansion:
             raise ValueError("can only add expansions in the same basis and degree")
         out = self.as_dict()
         for mu, c in other.coeffs:
-            out[mu] = out.get(mu, LaurentQT.zero()) + c
+            out[mu] = out.get(mu, ZERO) + c
         return SymExpansion.build(self.degree, self.basis, out)
 
     def to_json(self):
@@ -362,7 +362,7 @@ def _to_m(f: SymExpansion):
     out = {}
     for lam, c in f.coeffs:
         for mu, base_c in _basis_in_m(f.basis, lam).coeffs:
-            out[mu] = out.get(mu, LaurentQT.zero()) + c * base_c
+            out[mu] = out.get(mu, ZERO) + c * base_c
     return SymExpansion.build(f.degree, "m", out)
 
 
@@ -375,7 +375,7 @@ def _m_to_s(f: SymExpansion):
         c = rem[lam]
         out[lam] = c
         for mu, k in _basis_in_m("s", lam).coeffs:
-            cur = rem.get(mu, LaurentQT.zero()) - c * k
+            cur = rem.get(mu, ZERO) - c * k
             if cur.is_zero():
                 rem.pop(mu, None)
             else:
@@ -400,7 +400,7 @@ def _m_to_p(f: SymExpansion):
         c = rem[lam] * Fraction(1, lead)
         out[lam] = c
         for mu, pc in _basis_in_m("p", lam).coeffs:
-            cur = rem.get(mu, LaurentQT.zero()) - c * pc
+            cur = rem.get(mu, ZERO) - c * pc
             if cur.is_zero():
                 rem.pop(mu, None)
             else:
@@ -414,7 +414,7 @@ def _s_to_h(f: SymExpansion):
     for lam, c in f.coeffs:
         ell = len(lam)
         if ell == 0:
-            out[()] = out.get((), LaurentQT.zero()) + c
+            out[()] = out.get((), ZERO) + c
             continue
         for sigma in itertools.permutations(range(ell)):
             rows = [lam[i] - i + sigma[i] for i in range(ell)]
@@ -422,7 +422,7 @@ def _s_to_h(f: SymExpansion):
                 continue
             sign = _perm_sign(sigma)
             mu = normalize(tuple(sorted((r for r in rows if r > 0), reverse=True)))
-            out[mu] = out.get(mu, LaurentQT.zero()) + c * sign
+            out[mu] = out.get(mu, ZERO) + c * sign
     return SymExpansion.build(f.degree, "h", out)
 
 

@@ -69,7 +69,7 @@ def sweep_reports():
 
 @pytest.fixture(scope="module")
 def golden_first():
-    return golden_tables()
+    return dict(golden_tables())
 
 
 def test_criterion_1_golden_tables(golden_first):
@@ -291,4 +291,4 @@ def test_criterion_10_determinism(sweep_reports, golden_first):
     # warm, must give the same bytes as the first
     rerun = reports_to_jsonl(run_sweep(limit=SWEEP_LIMIT))
     assert rerun == reports_to_jsonl(sweep_reports)
-    assert golden_tables() == golden_first
+    assert dict(golden_tables()) == golden_first

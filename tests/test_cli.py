@@ -5,9 +5,12 @@ import hashlib
 import json
 import multiprocessing
 import os
+import select
+import shutil
 import signal
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pytest
 import ratcat.cli
 import ratcat.verify
 from ratcat.cli import main
-from ratcat.qt import ExactDivisionError
+from ratcat.qt import ONE, ExactDivisionError
 from ratcat.verify import (
     _timed,
     check_conj_abpf,
@@ -213,9 +216,43 @@ def test_enumerate_any_positive_frame(capsys):
 
 
 def test_golden_matches_corpus(capsys):
+    # one verdict per checked-in table, in filename order: a frame whose
+    # name sorts elsewhere, such as (10,3), must fail here, not reorder
     code, out, _ = run(capsys, "golden")
     assert code == 0
-    assert "DIFF" not in out
+    names = sorted(os.listdir(ratcat.cli._golden_dir()))
+    assert out == "".join(f"ok   {name}\n" for name in names)
+
+
+def test_golden_reports_every_diff(monkeypatch, tmp_path, capsys):
+    root = ratcat.cli._golden_dir()
+    copy = tmp_path / "golden"
+    shutil.copytree(root, copy)
+    altered, removed = copy / "cat_3_7.txt", copy / "pf_5_3.txt"
+    altered.write_text(altered.read_text() + ".\n")
+    removed.unlink()
+    monkeypatch.setattr(ratcat.cli, "_golden_dir", lambda: str(copy))
+    code, out, _ = run(capsys, "golden")
+    assert code == 1
+    assert out.splitlines() == [
+        ("DIFF " if name in (altered.name, removed.name) else "ok   ") + name
+        for name in sorted(os.listdir(root))
+    ]
+
+
+def test_golden_contract_violation_follows_earlier_verdicts(monkeypatch,
+                                                           capsys):
+    real = ratcat.cli.cat_qt
+
+    def skewed(a, b):
+        return real(a, b) + ONE if (a, b) == (5, 3) else real(a, b)
+
+    monkeypatch.setattr(ratcat.cli, "cat_qt", skewed)
+    code, out, err = run(capsys, "golden")
+    assert code == 3
+    assert out == "ok   cat_2_3.txt\n"
+    assert err == ("contract violation: Cat tables for (3,5) and (5,3) "
+                   "differ\n")
 
 
 def test_out_file(tmp_path, capsys):
@@ -430,6 +467,41 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""  # no Traceback, no "Exception ignored" either
+
+
+def test_golden_flushes_each_verdict():
+    # stdout is a pipe here, so block-buffered: without a flush per line the
+    # five Cat verdicts would wait in the buffer while the first pf table is
+    # held back on stdin
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, ratcat.cli\n"
+             "real = ratcat.cli.pf_qt\n"
+             "def held(a, b):\n"
+             "    sys.stdin.readline()\n"
+             "    return real(a, b)\n"
+             "ratcat.cli.pf_qt = held\n"
+             "sys.exit(ratcat.cli.main(['golden']))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-c", probe], cwd=src, env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        out = b""
+        deadline = time.monotonic() + 60
+        while out.count(b"\n") < 5:
+            left = max(deadline - time.monotonic(), 0)
+            assert select.select([proc.stdout], [], [], left)[0], out
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            assert chunk, out
+            out += chunk
+        assert out.decode().splitlines() == [
+            f"ok   cat_{a}_{b}.txt" for a, b in ratcat.cli.GOLDEN_CAT_FRAMES]
+        rest, err = proc.communicate(b"\n", timeout=120)
+        assert proc.returncode == 0, err.decode()
+        assert len((out + rest).splitlines()) == 12
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def _verify_range_3(src, stdout):
