@@ -589,14 +589,14 @@ def run_sweep(limit=10, claim="all", workers=1):
     traceback as its error.
 
     With workers > 1, task 0 runs here first, so its report is not delayed,
-    and the rest on a pool of up to `workers` forked processes. A worker
-    inherits the task list, rebound checkers included, and is sent only
-    task indices. A worker that dies (killed by a signal) breaks the pool:
-    the first task with no report then gets a failed report naming the
-    exception, and the sweep ends there. With one worker, fewer than two
-    tasks after the first, or no fork on this platform, every task runs
-    here in turn. The pool is ended and joined however the caller stops,
-    so close the generator (or run it to its end) before the process exits.
+    and the rest on up to `workers` processes forked from this one
+    (_run_forked). A worker that dies (killed by a signal, say) ends the
+    sweep: the first task with no report then gets a failed report whose
+    witness names WorkerDied, the worker's pid and its signal or exit
+    status. With one worker, fewer than two tasks after the first, or no
+    fork on this platform, every task runs here in turn. Every worker is
+    killed and reaped however the caller stops, so close the generator (or
+    run it to its end) before the process exits.
     """
     tasks = [(chk, args) for chk, args in sweep_tasks(limit)
              if claim == "all" or chk.claim == claim]
@@ -605,9 +605,29 @@ def run_sweep(limit=10, claim="all", workers=1):
         yield from map(_run_task, tasks)
         return
     yield _run_task(tasks[0])
-    # imported after task 0, so that the import does not delay it
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    yield from _run_forked(tasks, workers)
+
+
+def _run_forked(tasks, workers):
+    """The reports of tasks[1:] in task order, from `workers` forked
+    processes, which inherit the task list (rebound checkers included).
+
+    Every worker reads task indices, 4 bytes at a time, from one shared
+    feed pipe, so each index goes to exactly one worker as it comes free.
+    This process deals them in writes of at most PIPE_BUF bytes, which a
+    pipe takes whole or not at all, as fast as the pipe takes them, and
+    never blocks on the feed. Each worker sends back length-prefixed
+    pickles of (index, report) on a pipe of its own, which reaches end of
+    file only once the worker is gone. The feed stays open until the last
+    report is in, so a worker gone before then has died: the feed is then
+    closed and emptied, the other workers leave once they have sent what
+    they took, and the first task with no report gets the failed
+    WorkerDied report.
+    """
+    # imported here, so that the imports do not delay task 0
+    import pickle
+    import select
+    import signal
 
     # flush first, so that no worker writes this process's buffered output
     # again; the workers' collector leaves frozen objects alone, instead of
@@ -615,22 +635,109 @@ def run_sweep(limit=10, claim="all", workers=1):
     sys.stdout.flush()
     sys.stderr.flush()
     gc.freeze()
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _adopt, (tasks,))
-    lost = 1  # the first task with no report yet
+    feed_r, feed_w = os.pipe()
+    os.set_blocking(feed_w, False)
+    pids = {}  # each worker's report pipe (read end): its pid, 0 once reaped
+    died = None  # how the first worker to end early ended
     try:
-        for report in pool.map(_run_adopted, range(1, len(tasks)), chunksize=4):
-            yield report
-            lost += 1
-    except BrokenProcessPool as exc:
-        chk, args = tasks[lost]
-        name = type(exc).__name__
-        yield CheckReport(chk.claim, dict(zip(chk.params, args)), False,
-                          {"exception": name, "message": str(exc)},
-                          error=f"{name}: {exc}\n")
+        for _ in range(workers):
+            r, w = os.pipe()
+            pids[r] = 0
+            # SIGINT waits until the worker is inside _work, so that its
+            # KeyboardInterrupt cannot unwind through this frame there
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                if not (pid := os.fork()):
+                    _work(tasks, feed_r, w, [feed_w, *pids])
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                os.close(w)
+            pids[r] = pid
+        poller = select.poll()
+        for r in pids:
+            poller.register(r, select.POLLIN)
+        inbox = {r: bytearray() for r in pids}  # read, not yet a whole report
+        done = {}  # reports that came before their turn, by task index
+        sent = turn = 1  # the next task to deal, and the next to yield
+        while True:
+            if died is None and sent < len(tasks):
+                count = min(len(tasks) - sent, select.PIPE_BUF // 4)
+                batch = b"".join(i.to_bytes(4, "little")
+                                 for i in range(sent, sent + count))
+                try:
+                    os.write(feed_w, batch)
+                    sent += count
+                except BlockingIOError:
+                    pass  # the pipe is full; the next report wakes us
+            while turn in done:
+                yield done.pop(turn)
+                turn += 1
+            if turn == len(tasks) or not any(pids.values()):
+                break
+            for r, _ in poller.poll():
+                if data := os.read(r, 1 << 16):
+                    buf = inbox[r]
+                    buf += data
+                    while len(buf) >= 4 + (
+                            size := int.from_bytes(buf[:4], "little")):
+                        i, report = pickle.loads(buf[4:4 + size])
+                        done[i] = report
+                        del buf[:4 + size]
+                    continue
+                pid, status = os.waitpid(pids[r], 0)
+                pids[r] = 0  # reaped: the finally below must not kill it
+                poller.unregister(r)
+                if died is None:
+                    code = os.waitstatus_to_exitcode(status)
+                    died = f"worker {pid} " + (
+                        f"was killed by {signal.Signals(-code).name}"
+                        if code < 0 else f"exited with status {code}")
+                    # with no writer left, a read of the feed returns what
+                    # is queued, or b"" once it is empty: it never blocks
+                    os.close(feed_w)
+                    while os.read(feed_r, select.PIPE_BUF):
+                        pass
+        if turn < len(tasks):
+            chk, args = tasks[turn]
+            yield CheckReport(chk.claim, dict(zip(chk.params, args)), False,
+                              {"exception": "WorkerDied", "message": died},
+                              error=f"WorkerDied: {died}\n")
     finally:
-        pool.shutdown(cancel_futures=True)
+        for r, pid in pids.items():
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(r)
+        os.close(feed_r)
+        if died is None:
+            os.close(feed_w)
         gc.unfreeze()
+
+
+def _work(tasks, feed, out, inherited):
+    """The life of a forked worker: close the inherited fds it has no use
+    for, then run each task whose index it reads from feed, writing the
+    report to out as a length-prefixed pickle of (index, report), until
+    feed ends. It leaves by os._exit on every path, KeyboardInterrupt
+    included, so it never returns into the parent's code and never flushes
+    the parent's buffers."""
+    code = 1
+    try:
+        import pickle
+        import signal
+
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for fd in inherited:
+            os.close(fd)
+        while index := os.read(feed, 4):
+            i = int.from_bytes(index, "little")
+            data = pickle.dumps((i, _run_task(tasks[i])))
+            frame = memoryview(len(data).to_bytes(4, "little") + data)
+            while frame:
+                frame = frame[os.write(out, frame):]
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_task(task):
@@ -643,18 +750,6 @@ def _run_task(task):
 
         report.error = "".join(traceback.format_exception(report.error))
     return report
-
-
-_adopted = []  # in a pool worker: the task list it was forked with
-
-
-def _adopt(tasks):
-    global _adopted
-    _adopted = tasks
-
-
-def _run_adopted(i):
-    return _run_task(_adopted[i])
 
 
 def reports_to_jsonl(reports, include_seconds=False):

@@ -3,7 +3,6 @@
 import fcntl
 import hashlib
 import json
-import multiprocessing
 import os
 import select
 import shutil
@@ -414,7 +413,8 @@ def test_checks_after_the_first_run_on_the_pool(monkeypatch, capsys, threads,
     assert [line["params"]["n"] for line in lines] == list(range(tasks))
     assert [line["witness"]["pid"] == os.getpid() for line in lines] == (
         [True] * here + [False] * (tasks - here))
-    assert multiprocessing.active_children() == []  # the pool was joined
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("claim", ["all", "lem_cyc_shift"])
@@ -564,8 +564,10 @@ def test_a_killed_worker_ends_verify_with_exit_3():
         assert proc.returncode == 3
         last = json.loads(out.splitlines()[-1])
         assert not last["passed"]
-        assert last["witness"]["exception"] == "BrokenProcessPool"
-        assert err.startswith(b"BrokenProcessPool: ")
+        message = f"worker {workers[0]} was killed by SIGKILL"
+        assert last["witness"] == {"exception": "WorkerDied",
+                                   "message": message}
+        assert err == f"WorkerDied: {message}\n".encode()
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
     finally:
@@ -575,18 +577,59 @@ def test_a_killed_worker_ends_verify_with_exit_3():
             pass
 
 
+def test_ctrl_c_leaves_no_process_running():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratcat.cli", "verify", "all", "--range", "9",
+         "--threads", "2"],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        proc.stdout.readline()
+        proc.stdout.readline()  # from a worker, so both workers are up
+        os.killpg(proc.pid, signal.SIGINT)  # as the terminal sends Ctrl-C
+        proc.communicate(timeout=60)
+        assert proc.returncode != 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _imported(args, names):
+    """Which of names a `ratcat` run with args imports, beyond what the
+    interpreter had loaded at start-up (site hooks may load threading)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import ratcat.cli\n"
+             "code = ratcat.cli.main(sys.argv[1:])\n"
+             f"print(sorted({set(names)!r} & (sys.modules.keys() - before)),"
+             " file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *args], cwd=src,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stderr.decode().splitlines()[-1]
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures", "threading")
+
+
 @pytest.mark.parametrize("args", [("catqt", "3", "5"), ("pfqt", "3", "5"),
                                   ("golden",)])
 def test_commands_but_verify_import_no_pool(args):
     # the pool and the claim checkers stay off the paths that compute one
     # frame or the golden tables, whose start-up and peak RSS they would add to
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, ratcat.cli\n"
-             "code = ratcat.cli.main(sys.argv[1:])\n"
-             "print(sorted({'ratcat.verify', 'multiprocessing', "
-             "'concurrent.futures'} & sys.modules.keys()), file=sys.stderr)\n"
-             "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", probe, *args], cwd=src,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr == b"[]\n"
+    assert _imported(args, ("ratcat.verify", *POOL_MODULES)) == "[]"
+
+
+def test_verify_forks_its_workers_without_a_pool_module():
+    # the workers are forked and fed through pipes by verify.py itself, so
+    # the parent loads no pool machinery and starts no thread
+    args = ("verify", "all", "--range", "3", "--threads", "2")
+    assert _imported(args, POOL_MODULES) == "[]"

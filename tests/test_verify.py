@@ -2,10 +2,15 @@
 
 import functools
 import json
-import multiprocessing
 import os
+import re
 import signal
+import time
+from glob import glob
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 import ratcat.verify
 from ratcat.frob import frob_s, pf_qt
@@ -31,6 +36,7 @@ from ratcat.verify import (
     _perm_of_cycle_type,
     _run_slices,
     _shift_increments,
+    _timed,
     check_bizley,
     check_conj_abpf,
     check_conj_nonstd_qbin,
@@ -156,18 +162,87 @@ def test_claim_selects_a_rebound_checker(monkeypatch):
     assert calls == [(n,) for n in range(1, 7)]
 
 
-def test_a_sweep_stopped_early_leaves_no_worker(monkeypatch):
+def _children():
+    """This process's children, running or not yet reaped."""
+    return [int(pid) for path in glob("/proc/self/task/*/children")
+            for pid in Path(path).read_text().split()]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a pool test whose sweep takes over 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep took over 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _task(n, body):
+    """A task whose check runs body(n) and passes, unless body raises."""
+    def run(n, counters):
+        body(n)
+
+    def check(n):
+        return _timed("task", {"n": n}, run, (n,))
+
+    check.claim, check.params = "task", ("n",)
+    return check, (n,)
+
+
+def test_a_sweep_stopped_early_leaves_no_worker(monkeypatch, deadline):
     tasks = [(check_macmahon, (n,)) for n in range(1, 7)]
     monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
     reports = run_sweep(workers=2)
     assert [next(reports).params for _ in range(3)] == [
         {"n": 1}, {"n": 2}, {"n": 3}]
-    assert len(multiprocessing.active_children()) == 2
+    assert len(_children()) == 2
     reports.close()
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
-def test_a_killed_worker_ends_the_sweep_with_a_failed_report(monkeypatch):
+def test_stopping_early_ends_busy_workers_at_once(monkeypatch, deadline):
+    # every task after the third keeps its worker busy for 5 s
+    tasks = [_task(n, lambda n: time.sleep(5 if n >= 3 else 0))
+             for n in range(12)]
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    reports = run_sweep(workers=2)
+    assert [next(reports).params["n"] for _ in range(3)] == [0, 1, 2]
+    t0 = time.monotonic()
+    reports.close()
+    assert time.monotonic() - t0 < 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("workers", [2, 5])  # 5: more workers than cores
+def test_the_feed_outgrows_a_pipe(monkeypatch, tmp_path, deadline, workers):
+    # 20 000 task indices are 80 000 bytes, more than a pipe holds; each
+    # task appends its n to one log, so a task run twice would show there
+    fd = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        tasks = [_task(n, lambda n: os.write(fd, b"%d\n" % n))
+                 for n in range(20_000)]
+        monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+        reports = list(run_sweep(workers=workers))
+    finally:
+        os.close(fd)
+    assert [r.params["n"] for r in reports] == list(range(20_000))
+    assert all(r.passed for r in reports)
+    ran = sorted(map(int, (tmp_path / "ran").read_text().split()))
+    assert ran == list(range(20_000))
+    _assert_no_child()
+
+
+def test_a_killed_worker_ends_the_sweep_with_a_failed_report(monkeypatch,
+                                                             deadline):
     @functools.wraps(check_macmahon)
     def dying(n):  # the worker that runs n = 4 is killed, as by the OOM killer
         if n == 4:
@@ -177,14 +252,28 @@ def test_a_killed_worker_ends_the_sweep_with_a_failed_report(monkeypatch):
     tasks = [(dying, (n,)) for n in range(1, 7)]
     monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
     reports = list(run_sweep(workers=2))
-    # tasks 1-4 (n = 2..5) are one chunk, so n = 2 is the first with no report
-    assert [r.params for r in reports] == [{"n": 1}, {"n": 2}]
-    assert reports[0].passed and not reports[1].passed
-    assert reports[1].claim == "macmahon_maj"
-    assert reports[1].witness["exception"] == "BrokenProcessPool"
-    assert reports[1].error == (
-        f"BrokenProcessPool: {reports[1].witness['message']}\n")
-    assert multiprocessing.active_children() == []
+    # a worker takes one task at a time and sends its report before the
+    # next, so n = 2 and 3 are reported whichever worker ran them
+    assert [r.params for r in reports] == [{"n": n} for n in range(1, 5)]
+    assert [r.passed for r in reports] == [True, True, True, False]
+    assert reports[3].claim == "macmahon_maj"
+    assert reports[3].witness["exception"] == "WorkerDied"
+    message = reports[3].witness["message"]
+    assert re.fullmatch(r"worker \d+ was killed by SIGKILL", message)
+    assert reports[3].error == f"WorkerDied: {message}\n"
+    _assert_no_child()
+
+
+def test_a_worker_that_exits_ends_the_sweep_with_its_status(monkeypatch,
+                                                            deadline):
+    tasks = [_task(n, lambda n: n == 3 and os._exit(7)) for n in range(6)]
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    reports = list(run_sweep(workers=2))
+    assert [r.params["n"] for r in reports] == [0, 1, 2, 3]
+    assert [r.passed for r in reports] == [True, True, True, False]
+    assert re.fullmatch(r"worker \d+ exited with status 7",
+                        reports[3].witness["message"])
+    _assert_no_child()
 
 
 def test_small_sweep_rerun_determinism():
