@@ -17,12 +17,10 @@ already written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import closing, nullcontext
 from math import gcd
-from pathlib import Path
 
 from .frob import (
     SchurPositivityError,
@@ -77,18 +75,32 @@ def golden_tables():
         yield f"pf_{a}_{b}.txt", render_pf_blocks(pf_qt(a, b)) + "\n"
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _json(obj):
+    import json  # here: only the commands that print JSON load it
+
+    return json.dumps(obj)
 
 
 def _poly_text(p, fmt):
     if fmt == "json":
-        return json.dumps(p.to_json())
+        return _json(p.to_json())
     return matrix_of_poly(p, "tex" if fmt == "tex" else "plain")
+
+
+def _emit(text, out):
+    """Write a command's one result, a newline after it."""
+    print(text, file=out)
+
+
+def _output(path):
+    """The file --out names, opened for writing, or stdout where there is
+    none; a path that cannot be written is bad input."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def main(argv=None):
@@ -177,8 +189,9 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    """Validate the user's input, then run the command. Every check on the
-    input raises _UsageError; what a computation raises is not the user's."""
+    """Validate the user's input and open --out, then run the command. Every
+    check on the input raises _UsageError; what a computation raises is not
+    the user's."""
     if args.threads < 1:
         raise _UsageError(f"--threads {args.threads} must be at least 1")
     if hasattr(args, "a"):
@@ -188,52 +201,59 @@ def _dispatch(args):
         # is defined for coprime frames only
         if args.command != "enumerate" and gcd(args.a, args.b) != 1:
             raise _UsageError(f"frame ({args.a},{args.b}) must be coprime")
-    if args.command == "catqt":
-        _emit(_poly_text(cat_qt(args.a, args.b), args.format), args.out)
-    elif args.command == "qcat":
-        _emit(_poly_text(rational_q_catalan(args.a, args.b), args.format),
-              args.out)
-    elif args.command == "pfqt":
-        series = pf_qt(args.a, args.b)
-        if args.format == "json":
-            _emit(json.dumps(series.to_json()), args.out)
-        else:
-            style = "tex" if args.format == "tex" else "plain"
-            _emit(render_pf_blocks(series, style), args.out)
-    elif args.command == "frob":
-        series = {"h": frob_h, "p": frob_p, "s": frob_s}[args.basis](
-            args.a, args.b
-        )
-        _emit(json.dumps(series.to_json()), args.out)
-    elif args.command == "enumerate":
-        _emit("\n".join(d.word for d in enumerate_dyck(args.a, args.b)),
-              args.out)
-    elif args.command == "sweep":
-        try:
-            d = DyckPath(args.word, args.a, args.b)
-        except ValueError as exc:
-            raise _UsageError(exc) from None
-        _emit(sweep(d).word, args.out)
-    elif args.command == "zeta":
-        try:
-            pf = from_preference_vector(tuple(args.prefs))
-        except ValueError as exc:
-            raise _UsageError(exc) from None
-        r = zeta(pf)
-        _emit(json.dumps({"word": r.word,
-                          "diagonal_word": list(r.diagonal_word)}), args.out)
-    elif args.command == "verify":
+    try:
+        if args.command == "sweep":
+            args.path = DyckPath(args.word, args.a, args.b)
+        elif args.command == "zeta":
+            args.pf = from_preference_vector(tuple(args.prefs))
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    if args.command == "verify":
         # imported here: compiling it adds to every other command's peak RSS
-        from .verify import CLAIMS, reports_to_jsonl, run_sweep
+        from .verify import CLAIMS
 
         if args.claim != "all" and args.claim not in CLAIMS:
             raise _UsageError(f"unknown claim {args.claim!r}; valid claims: "
                               + ", ".join(["all", *CLAIMS]))
         if args.bound < 1:
             raise _UsageError(f"--range {args.bound} must be at least 1")
+    with _output(getattr(args, "out", None)) as out:
+        return _run(args, out)
+
+
+def _run(args, out):
+    """Compute what the validated command asks for and write it to out."""
+    if args.command == "catqt":
+        _emit(_poly_text(cat_qt(args.a, args.b), args.format), out)
+    elif args.command == "qcat":
+        _emit(_poly_text(rational_q_catalan(args.a, args.b), args.format),
+              out)
+    elif args.command == "pfqt":
+        series = pf_qt(args.a, args.b)
+        if args.format == "json":
+            _emit(_json(series.to_json()), out)
+        else:
+            style = "tex" if args.format == "tex" else "plain"
+            _emit(render_pf_blocks(series, style), out)
+    elif args.command == "frob":
+        series = {"h": frob_h, "p": frob_p, "s": frob_s}[args.basis](
+            args.a, args.b
+        )
+        _emit(_json(series.to_json()), out)
+    elif args.command == "enumerate":
+        _emit("\n".join(d.word for d in enumerate_dyck(args.a, args.b)),
+              out)
+    elif args.command == "sweep":
+        _emit(sweep(args.path).word, out)
+    elif args.command == "zeta":
+        r = zeta(args.pf)
+        _emit(_json({"word": r.word, "diagonal_word": list(r.diagonal_word)}),
+              out)
+    elif args.command == "verify":
+        from .verify import reports_to_jsonl, run_sweep
+
         code = 0
-        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out, \
-                closing(run_sweep(args.bound, args.claim, args.threads)) as reps:
+        with closing(run_sweep(args.bound, args.claim, args.threads)) as reps:
             for report in reps:
                 out.write(reports_to_jsonl([report], args.timings) + "\n")
                 out.flush()
@@ -247,9 +267,12 @@ def _dispatch(args):
         root = _golden_dir()
         code = 0
         for name, text in golden_tables():
-            path = Path(root, name)
-            ok = path.exists() and path.read_text() == text
-            print(f"{'ok  ' if ok else 'DIFF'} {name}", flush=True)
+            try:
+                with open(os.path.join(root, name)) as f:
+                    ok = f.read() == text
+            except FileNotFoundError:
+                ok = False
+            print(f"{'ok  ' if ok else 'DIFF'} {name}", file=out, flush=True)
             if not ok:
                 code = 1
         return code

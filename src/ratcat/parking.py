@@ -27,24 +27,27 @@ dinv: dinv(P'') + d(P) - m(D) gives the same value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
 from .paths import DyckPath, area, east_counts, levels, sweep
+from .qt import Record
 
 
-@dataclass(frozen=True)
-class ParkingFunction:
-    word: str
-    labels: tuple
-    a: int
-    b: int
-    multiset: bool = False
-    path: DyckPath = field(init=False, repr=False, compare=False)
+class ParkingFunction(Record):
+    """Labels on the north steps of an (a,b)-Dyck path; path, the DyckPath
+    of word, is neither compared nor shown."""
+
+    _fields = ("word", "labels", "a", "b", "multiset")
+
+    def __init__(self, word: str, labels: tuple, a: int, b: int,
+                 multiset: bool = False):
+        self.__dict__.update(word=word, labels=labels, a=a, b=b,
+                             multiset=multiset)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "path", DyckPath(self.word, self.a, self.b))
+        self.__dict__["path"] = DyckPath(self.word, self.a, self.b)
         if len(self.labels) != self.a:
             raise ValueError("one label per north step required")
         if self.multiset:
@@ -258,13 +261,15 @@ def ides(word):
 # -- the zeta map ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootNotationPF:
+class RootNotationPF(Record):
     """Classical parking function in root notation: path plus the permutation
     written along the diagonal y = x."""
 
-    word: str
-    diagonal_word: tuple
+    _fields = ("word", "diagonal_word")
+
+    def __init__(self, word: str, diagonal_word: tuple):
+        self.__dict__.update(word=word, diagonal_word=diagonal_word)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.diagonal_word)

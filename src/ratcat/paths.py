@@ -3,10 +3,9 @@ cyclic shifts, the sweep map, and maj."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, gcd
 
-from .qt import exact_quotient
+from .qt import Record, exact_quotient
 
 
 class SweepContractError(RuntimeError):
@@ -21,18 +20,26 @@ def _validate_counts(word, a, b):
         raise ValueError(f"word {word!r} is not in R(N^{a} E^{b})")
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Record):
     """An (a,b)-Dyck path: a N's, b E's, all levels nonnegative."""
 
-    word: str
-    a: int
-    b: int
+    _fields = ("word", "a", "b")
+
+    def __init__(self, word: str, a: int, b: int):
+        self.__dict__.update(word=word, a=a, b=b)
+        self.__post_init__()
 
     def __post_init__(self):
         _validate_counts(self.word, self.a, self.b)
         if min(levels(self.word, self.a, self.b)) < 0:
             raise ValueError(f"{self.word} dips below the ({self.a},{self.b}) diagonal")
+
+    @classmethod
+    def _trusted(cls, word, a, b):
+        """Build from a word known to be an (a,b)-Dyck word; no checks."""
+        d = object.__new__(cls)
+        d.__dict__.update(word=word, a=a, b=b)
+        return d
 
 
 def levels(word, a, b):
@@ -50,14 +57,15 @@ def levels(word, a, b):
 
 def enumerate_dyck(a, b):
     """Every (a,b)-Dyck path once, in lex order of words with N < E, as an
-    iterator; negative counts raise ValueError at the call."""
+    iterator; negative counts raise ValueError at the call. The walk never
+    lets a level go below 0, so its paths are built unchecked."""
     if a < 0 or b < 0:
         raise ValueError(f"step counts must be nonnegative, got ({a},{b})")
     buf = []
 
     def rec(n_left, e_left, level):
         if n_left == 0 and e_left == 0:
-            yield DyckPath("".join(buf), a, b)
+            yield DyckPath._trusted("".join(buf), a, b)
             return
         if n_left:
             buf.append("N")

@@ -28,6 +28,41 @@ def exact_quotient(num, den):
     return q
 
 
+class Record:
+    """Base of the immutable values of the modules that import this one
+    (paths, parking functions, symmetric-function expansions). A subclass
+    names its fields in _fields, fills them in __init__ with
+    __dict__.update and then validates in __post_init__. Records of one
+    class are equal when their fields are, hash as the field tuple and show
+    as Class(field=value, ...); no attribute can be set or deleted, and
+    pickle and copy restore __dict__ without __setattr__."""
+
+    _fields = ()
+
+    def _values(self):
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _norm_coeff(c):
     """A scalar in canonical form: an integral Fraction as an int."""
     return int(c) if type(c) is Fraction and c.denominator == 1 else c

@@ -17,7 +17,6 @@ product is one int addition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -29,18 +28,20 @@ from .partitions import (
     normalize,
     partitions_of,
 )
-from .qt import ZERO, LaurentQT, exact_quotient
+from .qt import ZERO, LaurentQT, Record, exact_quotient
 
 BASES = ("m", "h", "p", "s")
 
 
-@dataclass(frozen=True)
-class SymExpansion:
+class SymExpansion(Record):
     """A homogeneous symmetric function in one of the m, h, p, s bases."""
 
-    degree: int
-    basis: str
-    coeffs: tuple  # sorted ((partition, LaurentQT), ...), no zeros
+    _fields = ("degree", "basis", "coeffs")
+
+    def __init__(self, degree: int, basis: str, coeffs: tuple):
+        # coeffs: sorted ((partition, LaurentQT), ...), no zeros
+        self.__dict__.update(degree=degree, basis=basis, coeffs=coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.basis not in BASES:

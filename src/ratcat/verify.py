@@ -11,7 +11,6 @@ import resource
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
@@ -61,18 +60,22 @@ from .qt import (
 )
 
 
-@dataclass
 class CheckReport:
-    claim: str
-    params: dict
-    passed: bool
-    witness: object = None
-    seconds: float = 0.0
-    # what the checker raised (run_sweep gives its traceback text instead,
-    # which a worker process can send back); not serialised
-    error: Exception | str | None = None
-    peak_rss_kb: int = 0  # of the process that ran it, read when it ended
-    counters: dict = field(default_factory=dict)  # objects the check enumerated
+    """The outcome of one check. Mutable, and compared by nothing: tests
+    compare the JSON lines."""
+
+    def __init__(self, claim, params, passed, witness=None, seconds=0.0,
+                 error=None, peak_rss_kb=0, counters=None):
+        self.claim = claim
+        self.params = params
+        self.passed = passed
+        self.witness = witness
+        self.seconds = seconds
+        # what the checker raised (run_sweep gives its traceback text
+        # instead, which a worker process can send back); not serialised
+        self.error = error
+        self.peak_rss_kb = peak_rss_kb  # of the process that ran it, at its end
+        self.counters = {} if counters is None else counters  # what it enumerated
 
     def to_json(self, include_seconds=False):
         """The report as a dict; include_seconds adds what varies from run

@@ -331,6 +331,22 @@ def test_options_a_command_would_ignore_exit_2(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "2", "3"],
+                                  ["verify", "all", "--range", "1"]])
+def test_out_into_a_missing_directory_exits_2_before_computing(
+        tmp_path, monkeypatch, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+
+    def computed(*args):
+        raise AssertionError("computed before --out was opened")
+
+    monkeypatch.setattr(ratcat.cli, "enumerate_dyck", computed)
+    monkeypatch.setattr(ratcat.verify, "run_sweep", computed)
+    assert run(capsys, *argv, "--out", str(target)) == (
+        2, "", f"error: cannot write {target}: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _use_tasks(monkeypatch, tasks):
     monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
 
@@ -601,17 +617,19 @@ def test_ctrl_c_leaves_no_process_running():
 
 
 def _imported(args, names):
-    """Which of names a `ratcat` run with args imports, beyond what the
-    interpreter had loaded at start-up (site hooks may load threading)."""
+    """Which of names `import ratcat.cli` and then a `ratcat` run with args
+    (none: the import alone) import, beyond what the interpreter had loaded
+    at start-up. -S keeps site hooks from loading modules first (threading,
+    or pathlib through a .pth file), which would hide them."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
              "import ratcat.cli\n"
-             "code = ratcat.cli.main(sys.argv[1:])\n"
+             "code = ratcat.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
              f"print(sorted({set(names)!r} & (sys.modules.keys() - before)),"
              " file=sys.stderr)\n"
              "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", probe, *args], cwd=src,
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *args], cwd=src,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stderr.decode().splitlines()[-1]
@@ -626,6 +644,23 @@ def test_commands_but_verify_import_no_pool(args):
     # the pool and the claim checkers stay off the paths that compute one
     # frame or the golden tables, whose start-up and peak RSS they would add to
     assert _imported(args, ("ratcat.verify", *POOL_MODULES)) == "[]"
+
+
+@pytest.mark.parametrize("args", [(), ("golden",), ("catqt", "3", "5"),
+                                  ("pfqt", "3", "5")])
+def test_start_up_imports_no_dataclasses_json_or_pathlib(args):
+    # the records are plain classes, JSON is loaded only by the commands
+    # that print it, and golden reads its files with open
+    names = ("dataclasses", "inspect", "json", "pathlib")
+    assert _imported(args, names) == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ("pfqt", "3", "5", "--format", "json"),
+    ("verify", "all", "--range", "2", "--threads", "1"),
+])
+def test_json_commands_import_no_dataclasses(args):
+    assert _imported(args, ("dataclasses", "inspect")) == "[]"
 
 
 def test_verify_forks_its_workers_without_a_pool_module():

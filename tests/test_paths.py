@@ -1,11 +1,13 @@
 """Lattice paths: levels, enumeration, area, runs, sweep, maj."""
 
+import itertools
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratcat.cli import main
 from ratcat.paths import (
     DyckPath,
     SweepContractError,
@@ -52,6 +54,39 @@ def test_enumerate_dyck_rejects_negative_counts():
             enumerate_dyck(a, b)
     assert [d.word for d in enumerate_dyck(0, 3)] == ["EEE"]
     assert [d.word for d in enumerate_dyck(0, 0)] == [""]
+
+
+def _dyck_words_by_filter(a, b):
+    """The (a,b)-Dyck words in lex order with N < E, found without the walk:
+    every word of a N's and b E's, taken by the positions of its N steps in
+    combination order, kept when no level is negative."""
+    out = []
+    for north in itertools.combinations(range(a + b), a):
+        word = "".join("N" if i in north else "E" for i in range(a + b))
+        if min(levels(word, a, b)) >= 0:
+            out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("a", range(9))
+def test_trusted_paths_of_enumerate_dyck_match_validated_ones(a):
+    # enumerate_dyck builds its paths unchecked; every frame a, b <= 8,
+    # gcd > 1 included, must give the same words in the same order, each
+    # equal to the path built with validation
+    for b in range(9):
+        got = list(enumerate_dyck(a, b))
+        assert [d.word for d in got] == _dyck_words_by_filter(a, b)
+        for d in got:
+            built = DyckPath(d.word, a, b)
+            assert type(d) is DyckPath and d == built
+            assert vars(d) == vars(built)
+
+
+def test_the_boundaries_still_validate(capsys):
+    with pytest.raises(ValueError, match="dips below"):
+        DyckPath("NEN", 2, 1)
+    assert main(["sweep", "NEN", "2", "1"]) == 2
+    assert capsys.readouterr().err == "error: NEN dips below the (2,1) diagonal\n"
 
 
 def test_area_examples():
