@@ -123,33 +123,46 @@ def _word_stats(word, a, b):
 
 
 def frame_entries(a, b):
-    """(frontier word, (|mu|, ml, h+, h-)) for every partition mu in the
-    a x b box, the words in descending lexicographic order (N before E);
-    mu itself is partition_of_frontier(word, a, b).
+    """(code, (|mu|, ml, h+, h-)) for every partition mu in the a x b box.
+    code is the frontier word as an (a+b)-bit int, N = 1 and the first step
+    highest; codes descend, as the words do lexicographically (N before E).
 
     A depth-first walk over the steps, on a stack of immutable prefix
     states. The E levels of a prefix are bits of one int: levels are
     multiples of g = gcd(a, b), at most g E steps start at one level, and
     the c-th of them is bit level + a*b + c. An N step at x adds x to |mu|
-    and its pairs (as in _north_pairs), two bit counts. Once all a N steps
-    are down, the E steps left change no statistic (the level falls to 0
-    and ml <= 0), so the word is finished at once.
+    and its pairs (as in _north_pairs), two bit counts. With a - 1 N steps
+    down, one loop yields each place of the last: the E steps after it
+    change no statistic (the level falls to 0 and ml <= 0).
     """
+    if not a:
+        yield 0, (0, 0, 0, 0)
+        return
     g, ab = gcd(a, b), a * b
     window, field = (1 << (a + b)) - 1, (1 << g) - 1
-    # word, E level bits, x, N steps, |mu|, level + ab, ml, h+, h-
-    stack = [("", 0, 0, 0, 0, ab, 0, 0, 0)]
+    # code, E level bits, x, N steps, |mu|, level + ab, ml, h+, h-
+    stack = [(0, 0, 0, 0, 0, ab, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        word, easts, x, rows, size, pos, low, hp, hm = pop()
-        if rows == a:
-            yield word + "E" * (b - x), (size, low, hp, hm)
+        code, easts, x, rows, size, pos, low, hp, hm = pop()
+        if rows == a - 1:
+            code <<= b - x + 1
+            for y in range(x, b + 1):  # the last N step, at y
+                here = easts >> pos
+                yield code | 1 << (b - y), (
+                    size + y, low, hp + (here >> g & window).bit_count(),
+                    hm + (here & window).bit_count())
+                easts |= 1 << (pos + (here & field).bit_count())
+                pos -= a
+                if pos - ab < low:
+                    low = pos - ab
             continue
+        here = easts >> pos  # the E level bits from this level up
         if x < b:  # pushed first, so the N child is walked first
-            c = (easts >> pos & field).bit_count()
             down = pos - a - ab
-            push((word + "E", easts | 1 << (pos + c), x + 1, rows, size,
-                  pos - a, down if down < low else low, hp, hm))
-        push((word + "N", easts, x, rows + 1, size + x, pos + b, low,
-              hp + (easts >> (pos + g) & window).bit_count(),
-              hm + (easts >> pos & window).bit_count()))
+            push((code << 1, easts | 1 << (pos + (here & field).bit_count()),
+                  x + 1, rows, size, pos - a, down if down < low else low,
+                  hp, hm))
+        push((code << 1 | 1, easts, x, rows + 1, size + x, pos + b, low,
+              hp + (here >> g & window).bit_count(),
+              hm + (here & window).bit_count()))

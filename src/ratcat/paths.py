@@ -1,5 +1,5 @@
 """Lattice words in {N, E}: levels, Dyck tests, enumeration, area, runs,
-cyclic shifts, the sweep map, and maj."""
+the sweep map, and maj."""
 
 from __future__ import annotations
 
@@ -142,14 +142,6 @@ def count_by_runs(a, b, m):
     for mi in m:
         denom *= factorial(mi)
     return exact_quotient(factorial(b - 1), denom)
-
-
-def cyclic_shift(word, k):
-    """Rotate left by k (mod length)."""
-    if not word:
-        return word
-    k %= len(word)
-    return word[k:] + word[:k]
 
 
 def sweep(d: DyckPath) -> DyckPath:

@@ -150,6 +150,11 @@ class LaurentQT:
     def __bool__(self):
         return bool(self._terms)
 
+    def __getstate__(self):
+        # object.__getstate__'s value, so protocols 2+ pickle the same bytes;
+        # protocols 0 and 1 refuse __slots__ without this method
+        return None, {"_terms": self._terms}
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -334,24 +339,17 @@ def _dense_q_factorial(n):
     return p
 
 
-def _dense_divide(num, den):
-    """Exact quotient num / den of coefficient lists, by long division from
-    the top degree; den must end in a nonzero coefficient. Any nonzero
-    remainder raises ExactDivisionError, explicitly, so the check also holds
-    under python -O."""
-    top = len(den) - 1
-    lead = den[top]
-    rem = list(num)
-    quot = [0] * max(len(num) - top, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[i + top], lead)
-        if r:
-            raise ExactDivisionError("nonzero remainder in a q-analogue quotient")
-        if c:
-            quot[i] = c
-            for j, d in enumerate(den):
-                rem[i + j] -= c * d
-    if any(rem[:top]):
+def _divide_q_int(p, j):
+    """p / [j]_q, j >= 1: as (1 - q)[j]_q = 1 - q^j, quot[e] = p[e] -
+    p[e-1] + quot[e-j]. Multiplying back confirms it; a mismatch raises
+    ExactDivisionError, also under python -O."""
+    quot = []
+    prev = 0
+    for e in range(len(p) - j + 1):
+        c = p[e] - prev + (quot[e - j] if e >= j else 0)
+        prev = p[e]
+        quot.append(c)
+    if p and _times_q_int(quot, j) != p:
         raise ExactDivisionError("nonzero remainder in a q-analogue quotient")
     return quot
 
@@ -365,7 +363,7 @@ def _dense_q_binomial(n, k):
     k = min(k, n - k)  # [n, k] = [n, n-k]; fewer steps
     p = [1]
     for j in range(1, k + 1):
-        p = _dense_divide(_times_q_int(p, n - k + j), [1] * j)
+        p = _divide_q_int(_times_q_int(p, n - k + j), j)
     return p
 
 
@@ -387,31 +385,10 @@ def q_binomial(n, k):
     return _from_dense(_dense_q_binomial(n, k))
 
 
-def q_binomial_boxcount(s, r):
-    """Sum of q^|mu| over partitions mu fitting in an s x r box.
-
-    Enumerates the box directly, so it is an independent route from the
-    exact quotients in q_binomial.
-    """
-    if s < 0 or r < 0:
-        raise ValueError("box dimensions must be nonnegative")
-    counts = {}
-
-    def rec(rows_left, max_part, weight):
-        counts[weight] = counts.get(weight, 0) + 1
-        if rows_left == 0:
-            return
-        for part in range(1, max_part + 1):
-            rec(rows_left - 1, part, weight + part)
-
-    rec(s, r if s else 0, 0)
-    return LaurentQT({(w, 0): c for w, c in counts.items()})
-
-
 def rational_q_catalan(a, b):
     """Cat_{a,b}(q) = (1/[a+b]_q) * qbin(a+b, a) for coprime a, b."""
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     if gcd(a, b) != 1:
         raise ValueError(f"rational_q_catalan requires gcd(a,b)=1, got ({a},{b})")
-    return _from_dense(_dense_divide(_dense_q_binomial(a + b, a), [1] * (a + b)))
+    return _from_dense(_divide_q_int(_dense_q_binomial(a + b, a), a + b))

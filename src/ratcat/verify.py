@@ -45,7 +45,6 @@ from .partitions import (
 from .paths import (
     count_by_runs,
     count_dyck,
-    cyclic_shift,
     enumerate_dyck,
     levels,
     maj,
@@ -136,17 +135,34 @@ def _claim(name, *params):
 # -- partition-statistic claims --------------------------------------------
 #
 # conj_nonstd_qbin, thm_ratcat, lem_h_via_labels and lem_cyc_shift read the
-# one box walk frame_entries: pairs (frontier word, (|mu|, ml, h+, h-)) in
-# descending lexicographic word order, with the triangle where ml == 0. A
-# checker keeps of it only what it needs, and rebuilds mu from the word
-# (partition_of_frontier) only for a witness. conj_rat_qcat needs only the
-# triangle and walks the Dyck words instead.
+# one box walk frame_entries: pairs (code, (|mu|, ml, h+, h-)) in descending
+# code order, with the triangle where ml == 0. The code is the frontier word
+# as an (a+b)-bit int, N = 1 and the first step highest, so a cyclic shift
+# is a bit rotation. A checker keeps of it only what it needs, and rebuilds
+# the word (_word) and mu (partition_of_frontier) only for a witness or, in
+# thm_ratcat, once per triangle word. conj_rat_qcat needs only the triangle
+# and walks the Dyck words instead.
 #
 # The level route (frame_entries, _word_stats) lives in partitions.py and
-# the arm/leg route (_arm_leg_walk, _row_pairs) here: they are the two sides
-# of lem_h_via_labels and share no helper. The helpers below serve only these
-# checkers, so they live here and not in partitions.py, which every command
-# imports and compiles.
+# the arm/leg route (_arm_leg_walk, _arm_leg_cells) here: they are the two
+# sides of lem_h_via_labels and share no helper. The helpers below serve
+# only these checkers, so they live here and not in partitions.py, which
+# every command imports and compiles.
+
+
+_N_E = str.maketrans("10", "NE")
+
+
+def _word(code, n):
+    """The frontier word of n steps whose code is code (N = 1, first step
+    highest)."""
+    return bin(code | 1 << n)[3:].translate(_N_E)
+
+
+def _mu(code, a, b):
+    """mu, as a list, of the a x b box word with the given code: a
+    witness."""
+    return list(partition_of_frontier(_word(code, a + b), a, b))
 
 
 def _box_entries(a, b, counters):
@@ -158,66 +174,74 @@ def _box_entries(a, b, counters):
 
 
 def _arm_leg_walk(a, b):
-    """(frontier word, h+, h-) for every partition in the a x b box, in
-    frame_entries order, counted from the arm/leg windows; no level is read.
+    """(code, h+, h-) for every partition in the a x b box, in frame_entries
+    order, counted from the arm/leg windows; no level is read.
 
     The walk takes the same steps (depth first, N child first) and writes
-    its own word. An N step at x lays a row of length x on top of the rows
-    already down, and the column heights of those rows give the legs of its
-    cells (_row_pairs). The E steps after the last row change nothing, so
+    its own code. An N step at x lays a row of length x on top of the rows
+    already down. Column j (from 0) of the row has arm x-1-j and, as leg,
+    the number of rows already on column j, so its cell is
+    cells[leg*b + arm] (_arm_leg_cells): the walk keeps leg*b - j per
+    column and adds x-1. The E steps after the last row change nothing, so
     a prefix with a - 1 rows yields its leaves at once, one per length of
     that row.
     """
     if not a:
-        yield "E" * b, 0, 0
+        yield 0, 0, 0
         return
-    stack = [("", (0,) * b, 0, 0, 0, 0)]  # word, column heights, x, rows, h+, h-
+    cells, width = _arm_leg_cells(a, b)
+    low = (1 << width) - 1
+    # code, leg*b - j of each column j, x, rows, h+ | h- << width
+    stack = [(0, tuple(range(0, -b, -1)), 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        word, heights, x, rows, hp, hm = pop()
+        code, keys, x, rows, h = pop()
         if rows == a - 1:
-            for y in range(x, b + 1):
-                dp, dm = _row_pairs(heights, y, a, b)
-                yield (word + "E" * (y - x) + "N" + "E" * (b - y),
-                       hp + dp, hm + dm)
+            code <<= b - x + 1
+            for y in range(x, b + 1):  # the last row, of length y
+                arm = y - 1
+                row = h + sum([cells[k + arm] for k in keys[:y]])
+                yield code | 1 << (b - y), row & low, row >> width
             continue
         if x < b:  # pushed first, so the N child is walked first
-            push((word + "E", heights, x + 1, rows, hp, hm))
-        dp, dm = _row_pairs(heights, x, a, b)
-        push((word + "N", tuple([h + 1 for h in heights[:x]]) + heights[x:],
-              x, rows + 1, hp + dp, hm + dm))
+            push((code << 1, keys, x + 1, rows, h))
+        arm = x - 1
+        push((code << 1 | 1, tuple([k + b for k in keys[:x]]) + keys[x:], x,
+              rows + 1, h + sum([cells[k + arm] for k in keys[:x]])))
 
 
-def _row_pairs(heights, x, a, b):
-    """(h+, h-) cells of a row of length x put on columns of heights
-    heights: column j has arm x-j and leg heights[j-1], and with
+def _arm_leg_cells(a, b):
+    """(cells, width): cells[leg*b + arm], for leg < a and arm < b, packs
+    the h+ and h- counts of one cell as h+ | h- << width. With
     v = a*arm - b*leg, h+ counts the cells with -a < v <= b and h- those
-    with -a <= v < b."""
-    hp = hm = 0
-    for arm, leg in zip(range(x - 1, -1, -1), heights):
-        v = a * arm - b * leg
-        if -a <= v <= b:
-            if v != -a:
-                hp += 1
-            if v != b:
-                hm += 1
-    return hp, hm
+    with -a <= v < b; width holds a*b, so a sum of cells never carries
+    from one field into the other."""
+    width = (a * b).bit_length()
+    cells = []
+    for leg in range(a):
+        for arm in range(b):
+            v = a * arm - b * leg
+            cells.append((-a < v <= b) | (-a <= v < b) << width)
+    return cells, width
 
 
-def _shift_increments(w, a, b):
+def _shift_increments(code, a, b):
     """(pairs, levels): the two formulas of the cyclic-shift lemma for the
-    h+ increment from w to w[1:] + w[0], in one pass over the steps.
+    h+ increment from a word to its shift by one step, in one pass over the
+    steps of its code.
 
-    With l the level before each step and n = a + b: if w starts with N,
-    pairs counts the E steps with 1 <= l <= n and levels the steps with
-    1 <= l <= b; if it starts with E, pairs is minus the count of N steps
-    with 1 <= -l <= n and levels minus the count of steps with 1 <= -l <= a.
+    With l the level before each step and n = a + b: if the word starts
+    with N, pairs counts the E steps with 1 <= l <= n and levels the steps
+    with 1 <= l <= b; if it starts with E, pairs is minus the count of N
+    steps with 1 <= -l <= n and levels minus the count of steps with
+    1 <= -l <= a.
     """
     n = a + b
-    if w[0] == "N":  # v = l
-        sign, partner, top, up, down = 1, "E", b, b, -a
+    w = bin(code | 1 << n)[3:]  # the steps, "1" for N and "0" for E
+    if w[0] == "1":  # v = l
+        sign, partner, top, up, down = 1, "0", b, b, -a
     else:  # v = -l
-        sign, partner, top, up, down = -1, "N", a, -b, a
+        sign, partner, top, up, down = -1, "1", a, -b, a
     v = pairs = lv = 0
     for step in w:
         if 1 <= v <= n:
@@ -225,7 +249,7 @@ def _shift_increments(w, a, b):
                 pairs += 1
             if v <= top:
                 lv += 1
-        v += up if step == "N" else down
+        v += up if step == "1" else down
     return sign * pairs, sign * lv
 
 
@@ -284,19 +308,23 @@ def check_thm_ratcat(a, b, counters):
     the orbits of distinct triangle words are disjoint. With
     box(1) = n * tri(1), they cover the box.
     """
-    table = dict(_box_entries(a, b, counters))  # word: (|mu|, ml, h+, h-)
-    triangle = [w for w, s in table.items() if s[1] == 0]
+    table = dict(_box_entries(a, b, counters))  # code: (|mu|, ml, h+, h-)
+    triangle = [c for c, s in table.items() if s[1] == 0]
     box = LaurentQT(Counter((size + ml + hp, 0)
                             for size, ml, hp, _ in table.values()))
-    tri = LaurentQT(Counter((table[w][0] + table[w][2], 0) for w in triangle))
+    tri = LaurentQT(Counter((table[c][0] + table[c][2], 0) for c in triangle))
     if box != q_int(a + b) * tri:
         return {"box": box.to_json(), "tri": tri.to_json()}
     n = a + b
-    for w0 in triangle:
-        size0, _, base, _ = table[w0]
+    mask = (1 << n) - 1
+    for c0 in triangle:
+        size0, _, base, _ = table[c0]
+        w0 = _word(c0, n)
         # the levels before w0's n steps, distinct as gcd(a, b) = 1, by rank
         offset = {lv: i for i, lv in enumerate(sorted(levels(w0, a, b)[:n]))}
-        shifts = [table[cyclic_shift(w0, k)] for k in range(n)]
+        # the shift by k steps is the window of c0 c0 that starts at step k
+        twice = c0 << n | c0
+        shifts = [table[twice >> (n - k) & mask] for k in range(n)]
         if (sorted(hp for _, _, hp, _ in shifts) != list(range(base, base + n))
                 or any(size + ml != size0 or offset.get(-ml) != hp - base
                        for size, ml, hp, _ in shifts)):
@@ -308,26 +336,29 @@ def check_lem_h_via_labels(a, b, counters):
     """Arm/leg window counts match the frontier-level pair counts, checked
     word by word as the two walks yield them in step."""
     walks = zip(_box_entries(a, b, counters), _arm_leg_walk(a, b), strict=True)
-    for (w, (_, _, hp, hm)), (arm_w, arm_hp, arm_hm) in walks:
-        if arm_w != w:
+    for (c, (_, _, hp, hm)), (arm_c, arm_hp, arm_hm) in walks:
+        if arm_c != c:
             raise AssertionError(
-                f"the arm/leg walk is at {arm_w}, the box walk at {w}")
+                f"the arm/leg walk is at {_word(arm_c, a + b)}, "
+                f"the box walk at {_word(c, a + b)}")
         if arm_hp != hp:
-            return {"mu": list(partition_of_frontier(w, a, b)), "sign": "+"}
+            return {"mu": _mu(c, a, b), "sign": "+"}
         if arm_hm != hm:
-            return {"mu": list(partition_of_frontier(w, a, b)), "sign": "-"}
+            return {"mu": _mu(c, a, b), "sign": "-"}
 
 
 @_claim("lem_cyc_shift", "a", "b")
 def check_lem_cyc_shift(a, b, counters):
     """The h+ increment of one cyclic shift, via both stated formulas."""
-    h_plus_of = {w: s[2] for w, s in _box_entries(a, b, counters)}
-    for w, hp in h_plus_of.items():
-        delta = h_plus_of[w[1:] + w[0]] - hp
-        f1, f2 = _shift_increments(w, a, b)
+    h_plus_of = {c: s[2] for c, s in _box_entries(a, b, counters)}
+    n = a + b
+    mask = (1 << n) - 1
+    for c, hp in h_plus_of.items():
+        delta = h_plus_of[c << 1 & mask | c >> (n - 1)] - hp  # shift by one
+        f1, f2 = _shift_increments(c, a, b)
         if not delta == f1 == f2:
-            return {"mu": list(partition_of_frontier(w, a, b)),
-                    "delta": delta, "pairs": f1, "levels": f2}
+            return {"mu": _mu(c, a, b), "delta": delta, "pairs": f1,
+                    "levels": f2}
 
 
 # -- q,t-Catalan claims ----------------------------------------------------

@@ -35,10 +35,12 @@ from ratcat.parking import (
     stretch_to_ppp,
     zeta,
 )
-from ratcat.partitions import frame_entries, partition_of_frontier
+from ratcat.partitions import partition_of_frontier
 from ratcat.paths import DyckPath, area, count_dyck, enumerate_dyck, levels, sweep
-from ratcat.qt import q_binomial, q_binomial_boxcount, rational_q_catalan
+from ratcat.qt import q_binomial, rational_q_catalan
 from ratcat.symfunc import basis_convert, single
+from test_partitions import walked_words
+from test_qt import q_binomial_boxcount
 from test_symfunc import cauchy_slices
 from ratcat.verify import (
     _coprime_pairs,
@@ -154,18 +156,18 @@ def test_criterion_2_worked_examples():
 
     # h+ on a named partition, read off the box walk by its frontier word
     assert partition_of_frontier("NNEENENEEENEE", 5, 8) == (6, 3, 2)
-    assert dict(frame_entries(5, 8))["NNEENENEEENEE"][2] == 9
+    assert dict(walked_words(5, 8))["NNEENENEEENEE"][2] == 9
 
     # per-partition tables: (3,5) under the diagonal, full (2,3) box, each
     # row read off the walk's entry at its frontier word
-    triangle = {w: s for w, s in frame_entries(3, 5) if s[1] == 0}
+    triangle = {w: s for w, s in walked_words(3, 5) if s[1] == 0}
     assert len(triangle) == len(TRIANGLE_3_5)
     for mu, (w, sz, hp, total) in TRIANGLE_3_5.items():
         assert partition_of_frontier(w, 3, 5) == mu
         assert triangle[w][0] == sz
         assert triangle[w][2] == hp
         assert sz + hp == total
-    box = dict(frame_entries(2, 3))
+    box = dict(walked_words(2, 3))
     assert len(box) == len(BOX_2_3)
     for mu, (w, sz, ml, hp, total) in BOX_2_3.items():
         assert partition_of_frontier(w, 2, 3) == mu

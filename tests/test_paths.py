@@ -14,7 +14,6 @@ from ratcat.paths import (
     area,
     count_by_runs,
     count_dyck,
-    cyclic_shift,
     east_counts,
     enumerate_dyck,
     levels,
@@ -151,6 +150,15 @@ def test_sweep_is_injective_small():
 
 def test_sweep_contract_error_type():
     assert issubclass(SweepContractError, RuntimeError)
+
+
+def cyclic_shift(word, k):
+    """Rotate left by k (mod length): the word-level reference for the bit
+    rotations thm_ratcat and lem_cyc_shift apply to frontier codes."""
+    if not word:
+        return word
+    k %= len(word)
+    return word[k:] + word[:k]
 
 
 @settings(max_examples=50)

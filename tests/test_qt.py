@@ -1,5 +1,7 @@
 """Laurent polynomial ring and q-analogue constructors."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,17 +18,18 @@ from ratcat.qt import (
     ONE,
     ZERO,
     q_binomial,
-    q_binomial_boxcount,
     q_factorial,
     q_int,
     rational_q_catalan,
 )
 from ratcat.qt import (
-    _dense_divide,
     _dense_q_binomial,
+    _divide_q_int,
     _dense_q_factorial,
     _times_q_int,
 )
+
+from ratcat.symfunc import SymExpansion
 
 Q, T = LaurentQT.monomial(1, 0), LaurentQT.monomial(0, 1)
 
@@ -98,7 +101,24 @@ def test_exact_divide_detects_remainder():
         p.exact_divide(Q + ONE)
 
 
-@settings(max_examples=40)
+def test_pickles_at_every_protocol_and_copies():
+    p = LaurentQT({(2, -1): Fraction(1, 3), (0, 4): -5})
+    expansion = SymExpansion.build(2, "s", {(2,): p, (1, 1): Q + T})
+    for value in (p, ZERO, ONE, expansion):
+        backs = [pickle.loads(pickle.dumps(value, proto))
+                 for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in (*backs, copy.copy(value), copy.deepcopy(value)):
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value)
+            assert repr(back) == repr(value)
+    # the state a slotted value has by default, so the default protocol,
+    # which verify's workers send reports with, pickles the same bytes
+    assert p.__getstate__() == object.__getstate__(p)
+    assert p.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2] == (
+        None, {"_terms": {(2, -1): Fraction(1, 3), (0, 4): -5}})
+
+
+@settings(max_examples=50)
 @given(polys, polys)
 def test_evaluate_is_ring_map(p, q):
     at = lambda f: f.evaluate(2, Fraction(1, 3))
@@ -218,6 +238,27 @@ def test_q_int_and_factorial():
     assert q_factorial(4).evaluate(q=1) == 24
 
 
+def q_binomial_boxcount(s, r):
+    """Sum of q^|mu| over partitions mu fitting in an s x r box.
+
+    Enumerates the box directly, so it is an independent route from the
+    exact quotients in q_binomial.
+    """
+    if s < 0 or r < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    counts = {}
+
+    def rec(rows_left, max_part, weight):
+        counts[weight] = counts.get(weight, 0) + 1
+        if rows_left == 0:
+            return
+        for part in range(1, max_part + 1):
+            rec(rows_left - 1, part, weight + part)
+
+    rec(s, r if s else 0, 0)
+    return LaurentQT({(w, 0): c for w, c in counts.items()})
+
+
 def test_q_binomial_against_box_count():
     for n in range(17):
         for s in range(n + 1):
@@ -268,6 +309,28 @@ def test_dense_q_analogue_edge_cases():
         q_binomial(3, 4)
 
 
+def _dense_divide(num, den):
+    """Exact quotient num / den of coefficient lists, by long division from
+    the top degree; den must end in a nonzero coefficient. Any nonzero
+    remainder raises ExactDivisionError. The q-analogues divided with it
+    before _divide_q_int; it stays as that function's reference."""
+    top = len(den) - 1
+    lead = den[top]
+    rem = list(num)
+    quot = [0] * max(len(num) - top, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + top], lead)
+        if r:
+            raise ExactDivisionError("nonzero remainder in a q-analogue quotient")
+        if c:
+            quot[i] = c
+            for j, d in enumerate(den):
+                rem[i + j] -= c * d
+    if any(rem[:top]):
+        raise ExactDivisionError("nonzero remainder in a q-analogue quotient")
+    return quot
+
+
 def _factorial_quotient_q_binomial(n, k):
     """The body _dense_q_binomial had before it divided stepwise:
     [n]!_q over the product [k]!_q [n-k]!_q, in one long division."""
@@ -303,11 +366,38 @@ def test_dense_divide_detects_remainder():
             _dense_divide(num, den)
 
 
+def _quotient_or_error(divide, num, den):
+    try:
+        return divide(num, den)
+    except ExactDivisionError:
+        return ExactDivisionError
+
+
+def test_division_by_q_int_matches_long_division():
+    # every q-binomial [n, k] with n <= 24 over [j]_q for j = 1..n+1, and
+    # for j as long as it and one longer: the same quotient, or
+    # ExactDivisionError from both
+    exact = tried = 0
+    for n in range(25):
+        for k in range(n + 1):
+            num = _dense_q_binomial(n, k)
+            for j in {*range(1, n + 2), len(num), len(num) + 1}:
+                got = _quotient_or_error(_divide_q_int, num, j)
+                assert got == _quotient_or_error(_dense_divide, num, [1] * j), (
+                    n, k, j)
+                exact += got is not ExactDivisionError
+                tried += 1
+    assert 0 < exact < tried  # both outcomes occur
+    for num, j in (([], 1), ([], 3), ([1], 2), ([1, 2, 2, 1], 2), ([2, 2], 2)):
+        assert _quotient_or_error(_divide_q_int, num, j) == _quotient_or_error(
+            _dense_divide, num, [1] * j), (num, j)
+
+
 def test_dense_divide_check_survives_optimize():
     code = (
-        "from ratcat.qt import ExactDivisionError, _dense_divide\n"
+        "from ratcat.qt import ExactDivisionError, _divide_q_int\n"
         "try:\n"
-        "    _dense_divide([1, 1, 1, 1], [1, 1, 1])\n"
+        "    _divide_q_int([1, 1, 1, 1], 3)\n"
         "except ExactDivisionError:\n"
         "    print('raised')\n"
     )

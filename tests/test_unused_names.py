@@ -10,7 +10,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ratcat"
 # test-side reference routes with no caller in src/: name (Class.method for
 # a method) -> a test that checks an identity with it
 KEPT_FOR_TESTS = {
-    "q_binomial_boxcount": "test_qt::test_q_binomial_against_box_count",
     "q_factorial": "test_qt::test_q_int_and_factorial",
     "classical_cat_qt": "test_frob::test_classical_case_is_frame_n_n_plus_1",
     "classical_shuffle_side":

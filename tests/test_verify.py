@@ -23,7 +23,6 @@ from ratcat.partitions import (
 )
 from ratcat.paths import (
     count_dyck,
-    cyclic_shift,
     enumerate_dyck,
     levels,
     maj,
@@ -57,6 +56,8 @@ from ratcat.verify import (
     run_sweep,
     sweep_tasks,
 )
+from test_partitions import code_of, word_of
+from test_paths import cyclic_shift
 
 
 def test_spot_checks_pass():
@@ -304,11 +305,11 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
     assert partition_of_frontier(word, 3, 5) == mu
 
     def changed(a, b):  # the one box walk all four box checks read
-        for w, (size, ml, hp, hm) in frame_entries(a, b):
-            if w == word:
+        for c, (size, ml, hp, hm) in frame_entries(a, b):
+            if c == code_of(word):
                 assert ml == 0
                 hp, hm = hp + 1, hm + 1
-            yield w, (size, ml, hp, hm)
+            yield c, (size, ml, hp, hm)
 
     def changed_stats(w, a, b):  # the same change, for the Dyck-word walk
         size, ml, hp, hm = _word_stats(w, a, b)
@@ -316,13 +317,14 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
 
     monkeypatch.setattr(ratcat.verify, "frame_entries", changed)
     monkeypatch.setattr(ratcat.verify, "_word_stats", changed_stats)
-    before = partition_of_frontier(cyclic_shift(word, -1), 3, 5)
     for chk in PARTITION_CHECKERS:
         report = chk(3, 5)
         assert not report.passed, report.claim
         assert report.error is None, report.claim
-        if chk in (check_lem_h_via_labels, check_lem_cyc_shift):
-            assert report.witness["mu"] in (list(mu), list(before))
+    # the two lemma checks name the changed partition itself
+    assert check_lem_h_via_labels(3, 5).witness == {"mu": list(mu), "sign": "+"}
+    assert check_lem_cyc_shift(3, 5).witness == {
+        "mu": list(mu), "delta": 3, "pairs": 4, "levels": 4}
 
 
 def test_thm_ratcat_bites_on_a_moved_unit_of_size(monkeypatch):
@@ -331,11 +333,12 @@ def test_thm_ratcat_bites_on_a_moved_unit_of_size(monkeypatch):
     # from one to the other: the box and triangle sums, every ml and every
     # h+ stay, so only |mu| + ml = |mu0| along the orbits can see it
     a, b = 3, 5
-    table = dict(frame_entries(a, b))
-    rep = {}  # word: the triangle word of its orbit
-    for w0, (_, ml, _, _) in table.items():
+    table = dict(frame_entries(a, b))  # code: (|mu|, ml, h+, h-)
+    rep = {}  # code: the triangle word of its orbit
+    for c0, (_, ml, _, _) in table.items():
         if ml == 0:
-            rep.update((cyclic_shift(w0, k), w0) for k in range(a + b))
+            w0 = word_of(c0, a + b)
+            rep.update((code_of(cyclic_shift(w0, k)), w0) for k in range(a + b))
 
     def exponent(stats):
         size, ml, hp, _ = stats
@@ -363,7 +366,8 @@ def test_thm_ratcat_bites_on_a_moved_unit_of_size(monkeypatch):
 def test_triangle_frontier_words_are_the_dyck_words():
     # conj_rat_qcat walks the Dyck words in place of the box table's triangle
     for a, b in [(3, 5), (5, 3), (4, 7), (6, 6), (4, 6)]:
-        triangle = {w: s for w, s in frame_entries(a, b) if s[1] == 0}
+        triangle = {word_of(c, a + b): s
+                    for c, s in frame_entries(a, b) if s[1] == 0}
         walked = {d.word: _word_stats(d.word, a, b) for d in enumerate_dyck(a, b)}
         assert walked == triangle, (a, b)
 
@@ -551,9 +555,13 @@ def _old_shift_formulas(w, a, b):
 
 def test_shift_increments_match_the_level_formulas():
     for a, b in _coprime_box(8, 8):
-        for w, _ in frame_entries(a, b):
-            assert _shift_increments(w, a, b) == _old_shift_formulas(w, a, b), w
-            assert w[1:] + w[0] == cyclic_shift(w, 1)
+        n = a + b
+        for c, _ in frame_entries(a, b):
+            w = word_of(c, n)
+            assert _shift_increments(c, a, b) == _old_shift_formulas(w, a, b), w
+            # the rotation lem_cyc_shift reads the shifted h+ at
+            assert (c << 1 & (1 << n) - 1 | c >> (n - 1)) == code_of(
+                cyclic_shift(w, 1))
 
 
 def _resorted(labels, runs):
