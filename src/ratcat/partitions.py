@@ -135,6 +135,8 @@ def frame_entries(a, b):
     down, one loop yields each place of the last: the E steps after it
     change no statistic (the level falls to 0 and ml <= 0).
     """
+    if a < 0 or b < 0:
+        raise ValueError(f"step counts must be nonnegative, got ({a},{b})")
     if not a:
         yield 0, (0, 0, 0, 0)
         return

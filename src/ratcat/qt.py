@@ -331,14 +331,6 @@ def _times_q_int(p, j):
     return out
 
 
-def _dense_q_factorial(n):
-    """[n]!_q as a coefficient list."""
-    p = [1]
-    for j in range(2, n + 1):
-        p = _times_q_int(p, j)
-    return p
-
-
 def _divide_q_int(p, j):
     """p / [j]_q, j >= 1: as (1 - q)[j]_q = 1 - q^j, quot[e] = p[e] -
     p[e-1] + quot[e-j]. Multiplying back confirms it; a mismatch raises
@@ -372,11 +364,6 @@ def q_int(n):
     if n < 0:
         raise ValueError("q_int requires n >= 0")
     return _from_dense([1] * n)
-
-
-def q_factorial(n):
-    """[n]!_q = [1]_q [2]_q ... [n]_q."""
-    return _from_dense(_dense_q_factorial(n))
 
 
 def q_binomial(n, k):

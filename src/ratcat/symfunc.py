@@ -1,23 +1,28 @@
-"""Degree-bounded symmetric and quasisymmetric functions.
+"""Degree-bounded symmetric functions in the m, h, p and s bases.
 
 The monomial basis is the hub: h and p reach it as products of one-row
 pieces (h_r is the sum of all m_mu with mu a partition of r, p_r is m_(r)), s
-by Kostka numbers, and the reverse direction peels triangular systems. A
-product of two m-expansions is read off the dominant monomials of the result
-(_m_product), so no monomial is ever expanded.
+by Kostka numbers, and m reaches s by peeling the unitriangular Kostka
+system. basis_convert converts into m and s only, the two targets the
+commands use. A product of two m-expansions is read off the dominant
+monomials of the result (_m_product), so no monomial is ever expanded.
+
+The conversions into h and p, and the Hall pairing and omega built on them,
+are the tests' reference routes and live in tests/test_symfunc.py.
 
 VarPoly, a polynomial in explicit variables, remains as the tests' reference
 route (the Cauchy kernels, h and p products, the generating-function
 Frobenius): everything homogeneous of degree n is expanded in exactly n
 variables, which is faithful since no partition of n has more than n parts.
 Its products multiply on exponent vectors packed into ints, so a monomial
-product is one int addition.
+product is one int addition. It and its helpers (h_poly, p_poly,
+varpoly_to_m) stay here, not test-side, because perfbench/tracing.py reads
+symfunc.VarPoly whenever it installs its spans.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul, sub
@@ -94,10 +99,6 @@ class SymExpansion(Record):
             data["basis"],
             {tuple(mu): LaurentQT.from_json(c) for mu, c in data["terms"]},
         )
-
-
-def single(degree, basis, mu, coeff=1):
-    return SymExpansion.build(degree, basis, {normalize(mu): coeff})
 
 
 # -- finite-variable polynomials -------------------------------------------
@@ -384,101 +385,15 @@ def _m_to_s(f: SymExpansion):
     return SymExpansion.build(f.degree, "s", out)
 
 
-def _m_to_p(f: SymExpansion):
-    """Peel the lexicographically smallest partition.
-
-    The m-support of p_mu consists of coarsenings of mu, all lex-greater or
-    equal, and the coefficient of m_mu in p_mu is prod_j m_j(mu)!, so the
-    system is triangular from below. Quotients can be Fractions.
-    """
-    rem = f.as_dict()
-    out = {}
-    while rem:
-        lam = min(rem)
-        lead = 1
-        for m in multiplicities(lam).values():
-            lead *= factorial(m)
-        c = rem[lam] * Fraction(1, lead)
-        out[lam] = c
-        for mu, pc in _basis_in_m("p", lam).coeffs:
-            cur = rem.get(mu, ZERO) - c * pc
-            if cur.is_zero():
-                rem.pop(mu, None)
-            else:
-                rem[mu] = cur
-    return SymExpansion.build(f.degree, "p", out)
-
-
-def _s_to_h(f: SymExpansion):
-    """Jacobi-Trudi: s_lam = det(h_{lam_i - i + j}), expanded over S_l."""
-    out = {}
-    for lam, c in f.coeffs:
-        ell = len(lam)
-        if ell == 0:
-            out[()] = out.get((), ZERO) + c
-            continue
-        for sigma in itertools.permutations(range(ell)):
-            rows = [lam[i] - i + sigma[i] for i in range(ell)]
-            if any(r < 0 for r in rows):
-                continue
-            sign = _perm_sign(sigma)
-            mu = normalize(tuple(sorted((r for r in rows if r > 0), reverse=True)))
-            out[mu] = out.get(mu, ZERO) + c * sign
-    return SymExpansion.build(f.degree, "h", out)
-
-
-def _perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
-
-
 def basis_convert(f: SymExpansion, target):
-    if target not in BASES:
-        raise ValueError(f"unknown basis {target!r}")
+    """f in the m or the s basis. No command converts into h or p; those
+    routes, and the pairings built on them, are the tests' reference."""
+    if target not in ("m", "s"):
+        raise ValueError(f"basis_convert converts to m or s only, not {target!r}")
     if f.basis == target:
         return f
     g = f if f.basis == "m" else _to_m(f)
-    if target == "m":
-        return g
-    if target == "s":
-        return _m_to_s(g)
-    if target == "p":
-        return _m_to_p(g)
-    return _s_to_h(_m_to_s(g))
-
-
-# -- pairings and involutions ----------------------------------------------
-
-
-def hall_inner(f: SymExpansion, g: SymExpansion):
-    """Hall inner product, via duality of the h and m bases."""
-    if f.degree != g.degree:
-        raise ValueError("degree mismatch in hall_inner")
-    fm = basis_convert(f, "m").as_dict()
-    gh = basis_convert(g, "h").as_dict()
-    total = LaurentQT.zero()
-    for lam, c in gh.items():
-        if lam in fm:
-            total = total + fm[lam] * c
-    return total
-
-
-def omega(f: SymExpansion):
-    """The involution p_k -> (-1)^(k-1) p_k, returned in f's original basis."""
-    fp = basis_convert(f, "p")
-    flipped = SymExpansion.build(
-        f.degree,
-        "p",
-        {
-            lam: c * ((-1) ** (sum(lam) - len(lam)))
-            for lam, c in fp.coeffs
-        },
-    )
-    return basis_convert(flipped, f.basis)
+    return g if target == "m" else _m_to_s(g)
 
 
 def schur_principal_special(lam, b):

@@ -165,14 +165,6 @@ def _mu(code, a, b):
     return list(partition_of_frontier(_word(code, a + b), a, b))
 
 
-def _box_entries(a, b, counters):
-    """frame_entries(a, b), counting the words it yields as box_words."""
-    counters["box_words"] = 0
-    for entry in frame_entries(a, b):
-        counters["box_words"] += 1
-        yield entry
-
-
 def _arm_leg_walk(a, b):
     """(code, h+, h-) for every partition in the a x b box, in frame_entries
     order, counted from the arm/leg windows; no level is read.
@@ -186,6 +178,8 @@ def _arm_leg_walk(a, b):
     a prefix with a - 1 rows yields its leaves at once, one per length of
     that row.
     """
+    if a < 0 or b < 0:
+        raise ValueError(f"step counts must be nonnegative, got ({a},{b})")
     if not a:
         yield 0, 0, 0
         return
@@ -308,7 +302,8 @@ def check_thm_ratcat(a, b, counters):
     the orbits of distinct triangle words are disjoint. With
     box(1) = n * tri(1), they cover the box.
     """
-    table = dict(_box_entries(a, b, counters))  # code: (|mu|, ml, h+, h-)
+    table = dict(frame_entries(a, b))  # code: (|mu|, ml, h+, h-)
+    counters["box_words"] = len(table)
     triangle = [c for c, s in table.items() if s[1] == 0]
     box = LaurentQT(Counter((size + ml + hp, 0)
                             for size, ml, hp, _ in table.values()))
@@ -335,8 +330,10 @@ def check_thm_ratcat(a, b, counters):
 def check_lem_h_via_labels(a, b, counters):
     """Arm/leg window counts match the frontier-level pair counts, checked
     word by word as the two walks yield them in step."""
-    walks = zip(_box_entries(a, b, counters), _arm_leg_walk(a, b), strict=True)
+    counters["box_words"] = 0
+    walks = zip(frame_entries(a, b), _arm_leg_walk(a, b), strict=True)
     for (c, (_, _, hp, hm)), (arm_c, arm_hp, arm_hm) in walks:
+        counters["box_words"] += 1
         if arm_c != c:
             raise AssertionError(
                 f"the arm/leg walk is at {_word(arm_c, a + b)}, "
@@ -350,7 +347,8 @@ def check_lem_h_via_labels(a, b, counters):
 @_claim("lem_cyc_shift", "a", "b")
 def check_lem_cyc_shift(a, b, counters):
     """The h+ increment of one cyclic shift, via both stated formulas."""
-    h_plus_of = {c: s[2] for c, s in _box_entries(a, b, counters)}
+    h_plus_of = {c: s[2] for c, s in frame_entries(a, b)}
+    counters["box_words"] = len(h_plus_of)
     n = a + b
     mask = (1 << n) - 1
     for c, hp in h_plus_of.items():

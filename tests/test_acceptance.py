@@ -38,10 +38,10 @@ from ratcat.parking import (
 from ratcat.partitions import partition_of_frontier
 from ratcat.paths import DyckPath, area, count_dyck, enumerate_dyck, levels, sweep
 from ratcat.qt import q_binomial, rational_q_catalan
-from ratcat.symfunc import basis_convert, single
+from ratcat.symfunc import basis_convert
 from test_partitions import walked_words
 from test_qt import q_binomial_boxcount
-from test_symfunc import cauchy_slices
+from test_symfunc import cauchy_slices, single, to_basis
 from ratcat.verify import (
     _coprime_pairs,
     _perm_of_cycle_type,
@@ -285,7 +285,7 @@ def test_criterion_9_property_suites():
             for basis in "mhps":
                 f = single(deg, basis, lam)
                 for target in "mhps":
-                    assert basis_convert(basis_convert(f, target), basis) == f
+                    assert to_basis(to_basis(f, target), basis) == f
 
 
 def test_criterion_10_determinism(sweep_reports, golden_first):

@@ -328,6 +328,14 @@ def test_arm_leg_routes_match_the_cell_by_cell_count():
         assert list(_arm_leg_walk(0, b)) == [(0, 0, 0)]
 
 
+def test_both_box_walks_refuse_a_negative_frame():
+    # before the first item; unchecked, a negative a walks until memory runs out
+    for walk in (frame_entries, _arm_leg_walk):
+        for a, b in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError, match=rf"\({a},{b}\)"):
+                next(walk(a, b))
+
+
 def _row_pairs(heights, x, a, b):
     """(h+, h-) cells of a row of length x put on columns of heights
     heights, as _arm_leg_walk scored a row before its cell table: column j

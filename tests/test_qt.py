@@ -18,14 +18,13 @@ from ratcat.qt import (
     ONE,
     ZERO,
     q_binomial,
-    q_factorial,
     q_int,
     rational_q_catalan,
 )
 from ratcat.qt import (
     _dense_q_binomial,
     _divide_q_int,
-    _dense_q_factorial,
+    _from_dense,
     _times_q_int,
 )
 
@@ -236,6 +235,20 @@ def test_q_int_and_factorial():
     assert q_int(1) == ONE
     assert q_int(3).evaluate(q=1) == 3
     assert q_factorial(4).evaluate(q=1) == 24
+
+
+def _dense_q_factorial(n):
+    """[n]!_q as a coefficient list."""
+    p = [1]
+    for j in range(2, n + 1):
+        p = _times_q_int(p, j)
+    return p
+
+
+def q_factorial(n):
+    """[n]!_q = [1]_q [2]_q ... [n]_q. Only tests use it, so it lives
+    test-side."""
+    return _from_dense(_dense_q_factorial(n))
 
 
 def q_binomial_boxcount(s, r):

@@ -3,31 +3,139 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratcat.partitions import conjugate, partitions_of, z_lambda
-from ratcat.qt import LaurentQT
+from ratcat.partitions import (
+    conjugate,
+    multiplicities,
+    normalize,
+    partitions_of,
+    z_lambda,
+)
+from ratcat.qt import ZERO, LaurentQT
 from ratcat.symfunc import (
+    BASES,
     SymExpansion,
     VarPoly,
     _basis_in_m,
+    _distinct_perm_count,
     _m_product,
+    _max_exponent,
     basis_convert,
     h_poly,
-    hall_inner,
     hook_length_dim,
     kostka,
-    omega,
     p_poly,
     schur_principal_special,
-    single,
     varpoly_to_m,
 )
 
 Q, T = LaurentQT.monomial(1, 0), LaurentQT.monomial(0, 1)
+
+
+# -- the h and p routes and the pairings built on them -----------------------
+#
+# No command converts into h or p, so these reference routes live test-side;
+# to_basis reaches all four bases, m and s through src's basis_convert.
+
+
+def single(degree, basis, mu, coeff=1):
+    return SymExpansion.build(degree, basis, {normalize(mu): coeff})
+
+
+def _m_to_p(f: SymExpansion):
+    """Peel the lexicographically smallest partition.
+
+    The m-support of p_mu consists of coarsenings of mu, all lex-greater or
+    equal, and the coefficient of m_mu in p_mu is prod_j m_j(mu)!, so the
+    system is triangular from below. Quotients can be Fractions.
+    """
+    rem = f.as_dict()
+    out = {}
+    while rem:
+        lam = min(rem)
+        lead = 1
+        for m in multiplicities(lam).values():
+            lead *= factorial(m)
+        c = rem[lam] * Fraction(1, lead)
+        out[lam] = c
+        for mu, pc in _basis_in_m("p", lam).coeffs:
+            cur = rem.get(mu, ZERO) - c * pc
+            if cur.is_zero():
+                rem.pop(mu, None)
+            else:
+                rem[mu] = cur
+    return SymExpansion.build(f.degree, "p", out)
+
+
+def _s_to_h(f: SymExpansion):
+    """Jacobi-Trudi: s_lam = det(h_{lam_i - i + j}), expanded over S_l."""
+    out = {}
+    for lam, c in f.coeffs:
+        ell = len(lam)
+        if ell == 0:
+            out[()] = out.get((), ZERO) + c
+            continue
+        for sigma in itertools.permutations(range(ell)):
+            rows = [lam[i] - i + sigma[i] for i in range(ell)]
+            if any(r < 0 for r in rows):
+                continue
+            sign = _perm_sign(sigma)
+            mu = normalize(tuple(sorted((r for r in rows if r > 0), reverse=True)))
+            out[mu] = out.get(mu, ZERO) + c * sign
+    return SymExpansion.build(f.degree, "h", out)
+
+
+def _perm_sign(sigma):
+    sign = 1
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            if sigma[i] > sigma[j]:
+                sign = -sign
+    return sign
+
+
+def to_basis(f: SymExpansion, target):
+    """f in any of the four bases: m and s by basis_convert, p by peeling
+    the m-expansion, h by Jacobi-Trudi on the s-expansion."""
+    if f.basis == target:
+        return f
+    if target == "p":
+        return _m_to_p(basis_convert(f, "m"))
+    if target == "h":
+        return _s_to_h(basis_convert(f, "s"))
+    return basis_convert(f, target)
+
+
+def hall_inner(f: SymExpansion, g: SymExpansion):
+    """Hall inner product, via duality of the h and m bases."""
+    if f.degree != g.degree:
+        raise ValueError("degree mismatch in hall_inner")
+    fm = basis_convert(f, "m").as_dict()
+    gh = to_basis(g, "h").as_dict()
+    total = LaurentQT.zero()
+    for lam, c in gh.items():
+        if lam in fm:
+            total = total + fm[lam] * c
+    return total
+
+
+def omega(f: SymExpansion):
+    """The involution p_k -> (-1)^(k-1) p_k, returned in f's original basis."""
+    fp = to_basis(f, "p")
+    flipped = SymExpansion.build(
+        f.degree,
+        "p",
+        {
+            lam: c * ((-1) ** (sum(lam) - len(lam)))
+            for lam, c in fp.coeffs
+        },
+    )
+    return to_basis(flipped, f.basis)
 
 
 def test_varpoly_to_m():
@@ -92,6 +200,21 @@ def test_basis_in_m_matches_the_varpoly_product():
                     basis, lam)
 
 
+def test_varpoly_helpers_match_direct_counts():
+    for k in range(1, 6):
+        for n in range(k + 2):
+            for lam in partitions_of(n):
+                if len(lam) <= k:
+                    padded = lam + (0,) * (k - len(lam))
+                    assert _distinct_perm_count(lam, k) == len(
+                        set(itertools.permutations(padded))), (lam, k)
+        poly = h_poly(3, k) * p_poly(2, k)
+        assert _max_exponent(poly.terms) == max(map(max, poly.terms))
+        assert VarPoly._of(k, dict(poly.terms)).terms == VarPoly(
+            k, poly.terms).terms
+    assert _max_exponent({}) == 0
+
+
 def test_m_product_on_small_cases():
     # m_1 * m_1 = m_2 + 2 m_11, m_1 * m_2 = m_3 + m_21
     assert _m_product({(1,): 1}, {(1,): 1}, 1, 1) == {(2,): 1, (1, 1): 2}
@@ -145,7 +268,7 @@ def test_basis_examples():
         single(2, "s", (2,)) + single(2, "s", (1, 1), -1)
     )
     f = single(2, "s", (2,), 2) + single(2, "s", (1, 1))
-    assert basis_convert(f, "h") == single(2, "h", (2,)) + single(2, "h", (1, 1))
+    assert to_basis(f, "h") == single(2, "h", (2,)) + single(2, "h", (1, 1))
 
 
 def test_round_trips():
@@ -157,7 +280,42 @@ def test_round_trips():
                 {lam: rng.randint(-3, 3) for lam in partitions_of(deg)},
             )
             for target in "mhps":
-                assert basis_convert(basis_convert(f, target), basis) == f
+                assert to_basis(to_basis(f, target), basis) == f
+
+
+def test_basis_convert_targets_m_and_s_only():
+    f = single(3, "s", (2, 1))
+    for target in ("p", "h", "x"):
+        with pytest.raises(ValueError, match=repr(target)):
+            basis_convert(f, target)
+    # also when f is already in that basis
+    with pytest.raises(ValueError, match="'h'"):
+        basis_convert(single(3, "h", (2, 1)), "h")
+
+
+def test_to_basis_matches_basis_convert_on_m_and_s():
+    # for m and s, straight and by way of the test-side h and p routes
+    for n in range(6):
+        for basis in BASES:
+            for lam in partitions_of(n):
+                f = single(n, basis, lam, 2 * Q - T)
+                for target in "ms":
+                    want = basis_convert(f, target)
+                    assert to_basis(f, target) == want, (basis, lam, target)
+                    for via in "hp":
+                        assert basis_convert(to_basis(f, via), target) == want
+
+
+def test_omega_on_a_schur_expansion_transposes_its_shapes():
+    # the p-basis route against the shortcut s_lam -> s_lam'
+    rng = random.Random(11)
+    for n in range(1, 7):
+        coeffs = {lam: rng.randint(-3, 3) * Q + rng.randint(-2, 2) * T
+                  for lam in partitions_of(n)}
+        f = SymExpansion.build(n, "s", coeffs)
+        transposed = SymExpansion.build(
+            n, "s", {conjugate(lam): c for lam, c in f.coeffs})
+        assert omega(f) == transposed, n
 
 
 def test_hall_inner_dualities():
