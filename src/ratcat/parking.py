@@ -5,30 +5,23 @@ top, strictly increasing within each vertical run. Classical objects live in
 an n x n frame; rational objects in a coprime (a,b) frame. The public
 constructor validates. The labelings of a path are walked as raw label
 tuples (_label_tuples); labelings_of wraps each in the trusted constructor,
-which skips the checks, as does the stretch P'' below.
+which skips the checks.
 
-Each statistic has one formula here, read off per-path terms (dinv offset,
-dinv bound, window pairs, reading order) computed once per path: dinv is the
-offset plus the window pairs (i, j) with p_i < p_j, and IDes is read off the
-label positions in reading order. The ParkingFunction statistics apply these
-helpers to one parking function. The q,t-series kernel in frob reads the same
-terms but computes both statistics a second way, incrementally as it places
-the labels 1..a on a path; these per-PF statistics are the independent
-reference that the kernel is tested against.
+dinv has one formula here, read off per-path terms (dinv offset, dinv
+bound, pairs, reading order): the offset plus the pairs (i, j) with
+p_i < p_j. The q,t-series kernel in frob reads these terms once per path and
+places the labels 1..a on it, carrying dinv and the descent set of the
+reading word as it goes.
 
 Rational dinv is read off the levels at the feet of the north steps, as
 tdinv(P) - maxtdinv(D) + d(P) (Armstrong-Loehr-Warrington, section 5).
-Classical dinv pairs rows by area-cell count (the g-vector). The Bezout
-stretch P'', a classical parking function with multiset labels (exempt from
-the permutation check), is the independent reference route for rational
-dinv: dinv(P'') + d(P) - m(D) gives the same value.
+Classical dinv pairs rows by area-cell count (the g-vector).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 
 from .paths import DyckPath, area, east_counts, levels, sweep
 from .qt import Record
@@ -38,20 +31,16 @@ class ParkingFunction(Record):
     """Labels on the north steps of an (a,b)-Dyck path; path, the DyckPath
     of word, is neither compared nor shown."""
 
-    _fields = ("word", "labels", "a", "b", "multiset")
+    _fields = ("word", "labels", "a", "b")
 
-    def __init__(self, word: str, labels: tuple, a: int, b: int,
-                 multiset: bool = False):
-        self.__dict__.update(word=word, labels=labels, a=a, b=b,
-                             multiset=multiset)
+    def __init__(self, word: str, labels: tuple, a: int, b: int):
+        self.__dict__.update(word=word, labels=labels, a=a, b=b)
         self.__post_init__()
 
     def __post_init__(self):
         self.__dict__["path"] = DyckPath(self.word, self.a, self.b)
         if len(self.labels) != self.a:
             raise ValueError("one label per north step required")
-        if self.multiset:
-            return
         if sorted(self.labels) != list(range(1, self.a + 1)):
             raise ValueError(f"labels {self.labels} are not a permutation of 1..{self.a}")
         for run in _run_label_groups(self.word, self.labels):
@@ -59,22 +48,15 @@ class ParkingFunction(Record):
                 raise ValueError(f"labels {run} do not increase up a column")
 
     @classmethod
-    def _trusted(cls, path, labels, multiset=False):
+    def _trusted(cls, path, labels):
         """Build on a validated path from labels known to fit it; no checks."""
         pf = object.__new__(cls)
         pf.__dict__.update(word=path.word, labels=labels, a=path.a, b=path.b,
-                           multiset=multiset, path=path)
+                           path=path)
         return pf
-
-    def area(self):
-        return area(self.path)
 
     def to_json(self):
         return {"word": self.word, "labels": list(self.labels), "frame": [self.a, self.b]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["word"], tuple(data["labels"]), *data["frame"])
 
 
 def _run_label_groups(word, labels):
@@ -119,21 +101,6 @@ def from_preference_vector(v):
     return ParkingFunction(word, labels, n, n)
 
 
-def to_preference_vector(pf):
-    """Inverse of from_preference_vector (classical n x n frame only)."""
-    if pf.a != pf.b:
-        raise ValueError("preference vectors are defined for the classical frame")
-    prefs = {}
-    run_index = 1
-    it = iter(pf.labels)
-    for step in pf.word:
-        if step == "N":
-            prefs[next(it)] = run_index
-        else:
-            run_index += 1
-    return tuple(prefs[j] for j in range(1, pf.a + 1))
-
-
 def enumerate_pf(a, b):
     """All valid labelings of all (a,b)-Dyck paths."""
     from .paths import enumerate_dyck
@@ -151,8 +118,8 @@ def labelings_of(d: DyckPath):
 def _label_tuples(d: DyckPath):
     """The label tuples of the parking functions on d, bottom to top, in
     lexicographic order: each run takes a combination of the labels left
-    over, and the last run takes the rest. Read by labelings_of (so by the
-    public per-PF statistics) and by verify's fixed-point counts."""
+    over, and the last run takes the rest. Read by labelings_of and by
+    verify's fixed-point counts."""
     sizes = [len(g) for g in _run_label_groups(d.word, range(d.a))]
     last = max(len(sizes) - 1, 0)
 
@@ -216,24 +183,6 @@ def _ranks(order):
     return rank
 
 
-def _ides_mask(labels, rank):
-    """IDes of the word with labels[i] at position rank[i], as a bitmask:
-    bit j-1 is set iff j+1 sits left of j."""
-    n = len(labels)
-    pos = [0] * (n + 1)
-    for r, x in zip(rank, labels):
-        pos[x] = r
-    mask = 0
-    for j in range(1, n):
-        if pos[j + 1] < pos[j]:
-            mask |= 1 << (j - 1)
-    return mask
-
-
-def _reading_word(labels, order):
-    return tuple(labels[i] for i in order)
-
-
 def dinv_classical(pf):
     """Pairs i < j with g_i = g_j, p_i < p_j or g_i = g_j + 1, p_i > p_j."""
     return _dinv(pf.labels, _classical_terms(pf.path))
@@ -241,21 +190,8 @@ def dinv_classical(pf):
 
 def drw_classical(pf):
     """Diagonal reading word: higher diagonals first, each scanned NE to SW."""
-    return _reading_word(pf.labels, _classical_terms(pf.path)[3])
-
-
-def drw_rational(pf):
-    """Labels of north steps read by increasing level of bottom endpoints."""
-    return _reading_word(pf.labels, _path_terms(pf.path)[3])
-
-
-def ides(word):
-    """Inverse descent set: j with j+1 left of j in the word."""
-    n = len(word)
-    if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"{word} is not a permutation word")
-    mask = _ides_mask(word, range(n))
-    return frozenset(j for j in range(1, n) if mask >> (j - 1) & 1)
+    labels = pf.labels
+    return tuple(labels[i] for i in _classical_terms(pf.path)[3])
 
 
 # -- the zeta map ----------------------------------------------------------
@@ -346,51 +282,7 @@ def area_prime(r: RootNotationPF):
     return total
 
 
-# -- rational dinv: the Bezout stretch (reference) and the path levels ----
-
-
-def bezout_xy(a, b):
-    """The solution of x*a + y*b = 1 with -b < x <= 0 and 0 <= y < a."""
-    if gcd(a, b) != 1:
-        raise ValueError("bezout_xy requires gcd(a,b)=1")
-    if a == 1:
-        raise ValueError("the window -b < x <= 0, 0 <= y < a is empty for a=1")
-    x = pow(b, -1, a)  # y candidate: y*b = 1 (mod a)
-    y = x % a
-    x = (1 - y * b) // a
-    if not (-b < x <= 0 and 0 <= y < a):
-        raise AssertionError(f"window reduction failed for ({a},{b})")
-    return x, y
-
-
-def stretch_to_ppp(pf: ParkingFunction) -> ParkingFunction:
-    """P'': stretch N steps |x|-fold and E steps y-fold, drop the final E.
-
-    The result is a classical parking function on an n x n frame with
-    n = |x|*a and multiset labels (each original label repeated |x| times,
-    copies kept adjacent within their run).
-    """
-    x, y = bezout_xy(pf.a, pf.b)
-    nx = -x
-    word = []
-    labels = []
-    row = 0
-    for step in pf.word:
-        if step == "N":
-            word.append("N" * nx)
-            labels.extend([pf.labels[row]] * nx)
-            row += 1
-        else:
-            word.append("E" * y)
-    # drop the final E; DyckPath checks that P'' is a Dyck path
-    n = nx * pf.a
-    path = DyckPath("".join(word)[:-1], n, n)
-    return ParkingFunction._trusted(path, tuple(labels), multiset=True)
-
-
-def max_stretched_dinv(d: DyckPath):
-    """m(D): maximum of dinv(P'') over all labelings of d."""
-    return max(dinv_classical(stretch_to_ppp(pf)) for pf in labelings_of(d))
+# -- rational dinv: the path levels ----------------------------------------
 
 
 def d_stat(d: DyckPath):
@@ -398,7 +290,6 @@ def d_stat(d: DyckPath):
     return area(sweep(d))
 
 
-@lru_cache(maxsize=1)
 def _path_terms(d: DyckPath):
     """(d(P), maxtdinv(D), window pairs, reading order): what dinv and the
     reading word need of the path alone.
@@ -409,10 +300,6 @@ def _path_terms(d: DyckPath):
     and that labeling fits d because the north steps of one run sit exactly
     b apart, outside each other's window. The reading order lists the north
     steps by increasing foot level.
-
-    One entry is kept: labelings_of yields the parking functions of a path
-    one after another, so a frame computes each path once, and the cache
-    does not grow with the frames a process visits.
     """
     lv = levels(d.word, d.a, d.b)
     feet = [lv[i] for i, step in enumerate(d.word) if step == "N"]
@@ -428,14 +315,3 @@ def _rational_terms(d: DyckPath, descending=False):
     within 0..d(P). descending=True reverses the reading order."""
     ds, m, pairs, order = _path_terms(d)
     return ds - m, ds, pairs, order[::-1] if descending else order
-
-
-def dinv_rational(pf: ParkingFunction):
-    """dinv(P) = tdinv(P) - maxtdinv(D) + d(P); identically 0 when a = 1.
-
-    tdinv(P) counts the window pairs (i, j) of the path whose labels
-    increase, p_i < p_j (Armstrong-Loehr-Warrington, section 5). It equals
-    dinv(P'') + d(P) - m(D) of the Bezout stretch, the route kept in
-    stretch_to_ppp and max_stretched_dinv.
-    """
-    return _dinv(pf.labels, _rational_terms(pf.path))

@@ -151,8 +151,9 @@ class LaurentQT:
         return bool(self._terms)
 
     def __getstate__(self):
-        # object.__getstate__'s value, so protocols 2+ pickle the same bytes;
-        # protocols 0 and 1 refuse __slots__ without this method
+        # (None, slots dict), the state protocols 2+ build for a slotted
+        # value without this method, so they pickle the same bytes; protocols
+        # 0 and 1 refuse __slots__ without it
         return None, {"_terms": self._terms}
 
     # -- ring operations ---------------------------------------------------
@@ -277,13 +278,6 @@ class LaurentQT:
     def to_json(self):
         """Canonical wire form: [[q_exp, t_exp, coeff-as-string], ...]."""
         return [[qe, te, str(c)] for qe, te, c in self.terms()]
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for qe, te, c in data:
-            terms[(int(qe), int(te))] = Fraction(c)
-        return cls(terms)
 
     def __repr__(self):
         if not self._terms:

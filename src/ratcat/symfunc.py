@@ -92,14 +92,6 @@ class SymExpansion(Record):
             "terms": [[list(mu), c.to_json()] for mu, c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls.build(
-            data["degree"],
-            data["basis"],
-            {tuple(mu): LaurentQT.from_json(c) for mu, c in data["terms"]},
-        )
-
 
 # -- finite-variable polynomials -------------------------------------------
 

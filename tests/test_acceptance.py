@@ -24,21 +24,23 @@ from ratcat.parking import (
     area_prime,
     d_stat,
     dinv_classical,
-    dinv_rational,
     drw_classical,
-    drw_rational,
     enumerate_pf,
     from_preference_vector,
-    ides,
     labelings_of,
-    max_stretched_dinv,
-    stretch_to_ppp,
     zeta,
 )
 from ratcat.partitions import partition_of_frontier
 from ratcat.paths import DyckPath, area, count_dyck, enumerate_dyck, levels, sweep
 from ratcat.qt import q_binomial, rational_q_catalan
 from ratcat.symfunc import basis_convert
+from test_parking import (
+    dinv_rational,
+    drw_rational,
+    ides,
+    max_stretched_dinv,
+    ppp_dinv,
+)
 from test_partitions import walked_words
 from test_qt import q_binomial_boxcount
 from test_symfunc import cauchy_slices, single, to_basis
@@ -119,7 +121,7 @@ def test_criterion_2_worked_examples():
     d = DyckPath("NNENNEENEEEEE", 5, 8)
     assert area(d) == 9
     P = ParkingFunction(d.word, (4, 5, 1, 3, 2), 5, 8)
-    assert dinv_classical(stretch_to_ppp(P)) == 5
+    assert ppp_dinv(P) == 5
     assert max_stretched_dinv(d) == 6
     assert d_stat(d) == 3
     assert dinv_rational(P) == 2
@@ -134,8 +136,8 @@ def test_criterion_2_worked_examples():
     ]
     for word, labels, ar, dpp, dd, mm, dv, S in rows:
         Q = ParkingFunction(word, labels, 2, 3)
-        assert Q.area() == ar
-        assert dinv_classical(stretch_to_ppp(Q)) == dpp
+        assert area(Q.path) == ar
+        assert ppp_dinv(Q) == dpp
         assert d_stat(Q.path) == dd
         assert max_stretched_dinv(Q.path) == mm
         assert dinv_rational(Q) == dv
@@ -146,7 +148,7 @@ def test_criterion_2_worked_examples():
     assert drw_classical(C) == (4, 2, 1, 5, 3)
     assert ides(drw_classical(C)) == frozenset({1, 3})
     assert dinv_classical(C) == 2
-    assert C.area() == 5
+    assert area(C.path) == 5
     assert area_prime(zeta(C)) == 2
 
     # level labels along a (5,8) word

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,15 +30,20 @@ from ratcat.parking import (
     _classical_terms,
     _rational_terms,
     dinv_classical,
-    dinv_rational,
     drw_classical,
-    drw_rational,
-    ides,
     labelings_of,
 )
 from ratcat.paths import area, east_counts, enumerate_dyck, sweep
 from ratcat.qt import LaurentQT, ONE, q_int
 from ratcat.symfunc import VarPoly, basis_convert, h_poly, varpoly_to_m
+from test_parking import (
+    _ides_mask,
+    dinv_rational,
+    drw_rational,
+    ides,
+    rational_terms,
+    stretch_to_ppp,
+)
 from test_symfunc import hall_inner, omega, single
 
 Q, T = LaurentQT.monomial(1, 0), LaurentQT.monomial(0, 1)
@@ -149,16 +155,16 @@ def test_descent_set_fold_rejects_asymmetric_series():
 def old_dinv_rational(pf):
     if pf.a == 1:
         return 0
-    d, m, pairs, _ = parking._path_terms(pf.path)
+    offset, d, pairs, _ = rational_terms(pf.path)
     labels = pf.labels
-    value = sum(1 for i, j in pairs if labels[i] < labels[j]) - m + d
+    value = sum(1 for i, j in pairs if labels[i] < labels[j]) + offset
     if not 0 <= value <= d:
         raise AssertionError(f"dinv {value} outside 0..{d} for {pf}")
     return value
 
 
 def old_drw_rational(pf):
-    order = parking._path_terms(pf.path)[3]
+    order = rational_terms(pf.path)[3]
     labels = pf.labels
     return tuple(labels[i] for i in order)
 
@@ -237,7 +243,7 @@ def old_descent_histogram(a, b, path_terms):
         terms = path_terms(d)
         rank = parking._ranks(terms[3])
         for labels in parking._label_tuples(d):
-            key = (parking._ides_mask(labels, rank), ar, parking._dinv(labels, terms))
+            key = (_ides_mask(labels, rank), ar, parking._dinv(labels, terms))
             hist[key] = hist.get(key, 0) + 1
     return hist
 
@@ -276,7 +282,8 @@ def test_public_classical_statistics_match_the_per_pf_bodies():
     # the Bezout stretch carries multiset labels
     for a, b in [(3, 5), (5, 3), (4, 7)]:
         for pf in parking.enumerate_pf(a, b):
-            pp = parking.stretch_to_ppp(pf)
+            path, labels = stretch_to_ppp(pf)
+            pp = SimpleNamespace(word=path.word, labels=labels, path=path)
             assert dinv_classical(pp) == old_dinv_classical(pp), pf
             assert drw_classical(pp) == old_drw_classical(pp), pf
 

@@ -3,6 +3,8 @@
 import itertools
 import subprocess
 import sys
+from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,22 +19,139 @@ from ratcat.parking import (
     _g_vector,
     _run_label_groups,
     area_prime,
-    bezout_xy,
     d_stat,
     dinv_classical,
-    dinv_rational,
     drw_classical,
-    drw_rational,
     enumerate_pf,
     from_preference_vector,
-    ides,
     labelings_of,
-    max_stretched_dinv,
-    stretch_to_ppp,
-    to_preference_vector,
     zeta,
 )
-from ratcat.paths import DyckPath, enumerate_dyck, levels
+from ratcat.paths import DyckPath, area, enumerate_dyck, levels
+
+# -- reference routes: per-PF statistics and the Bezout stretch -------------
+#
+# The q,t-series kernel (frob._descent_histogram) reads each path's terms
+# once and carries dinv and IDes as it places the labels; nothing in src/
+# scores one parking function at a time. These statistics do, as the side
+# of each identity that the kernel is checked against here, in test_frob and
+# in test_acceptance. The Bezout stretch P'' is the independent route for
+# rational dinv: dinv(P'') + d(P) - m(D) = dinv(P).
+
+
+@lru_cache(maxsize=1)
+def rational_terms(d):
+    """parking._rational_terms(d), kept for the parking functions of d,
+    which labelings_of yields one after another."""
+    return parking._rational_terms(d)
+
+
+def dinv_rational(pf):
+    """dinv(P) = tdinv(P) - maxtdinv(D) + d(P); identically 0 when a = 1.
+
+    tdinv(P) counts the window pairs (i, j) of the path whose labels
+    increase, p_i < p_j (Armstrong-Loehr-Warrington, section 5).
+    """
+    return parking._dinv(pf.labels, rational_terms(pf.path))
+
+
+def drw_rational(pf):
+    """Labels of north steps read by increasing level of bottom endpoints."""
+    labels = pf.labels
+    return tuple(labels[i] for i in rational_terms(pf.path)[3])
+
+
+def _ides_mask(labels, rank):
+    """IDes of the word with labels[i] at position rank[i], as a bitmask:
+    bit j-1 is set iff j+1 sits left of j."""
+    n = len(labels)
+    pos = [0] * (n + 1)
+    for r, x in zip(rank, labels):
+        pos[x] = r
+    mask = 0
+    for j in range(1, n):
+        if pos[j + 1] < pos[j]:
+            mask |= 1 << (j - 1)
+    return mask
+
+
+def ides(word):
+    """Inverse descent set: j with j+1 left of j in the word."""
+    n = len(word)
+    if sorted(word) != list(range(1, n + 1)):
+        raise ValueError(f"{word} is not a permutation word")
+    mask = _ides_mask(word, range(n))
+    return frozenset(j for j in range(1, n) if mask >> (j - 1) & 1)
+
+
+def to_preference_vector(pf):
+    """Inverse of from_preference_vector (classical n x n frame only)."""
+    if pf.a != pf.b:
+        raise ValueError("preference vectors are defined for the classical frame")
+    prefs = {}
+    run_index = 1
+    it = iter(pf.labels)
+    for step in pf.word:
+        if step == "N":
+            prefs[next(it)] = run_index
+        else:
+            run_index += 1
+    return tuple(prefs[j] for j in range(1, pf.a + 1))
+
+
+def bezout_xy(a, b):
+    """The solution of x*a + y*b = 1 with -b < x <= 0 and 0 <= y < a."""
+    if gcd(a, b) != 1:
+        raise ValueError("bezout_xy requires gcd(a,b)=1")
+    if a == 1:
+        raise ValueError("the window -b < x <= 0, 0 <= y < a is empty for a=1")
+    x = pow(b, -1, a)  # y candidate: y*b = 1 (mod a)
+    y = x % a
+    x = (1 - y * b) // a
+    if not (-b < x <= 0 and 0 <= y < a):
+        raise AssertionError(f"window reduction failed for ({a},{b})")
+    return x, y
+
+
+def stretch_to_ppp(pf):
+    """P'': stretch N steps |x|-fold and E steps y-fold, drop the final E.
+
+    The result is a classical parking function on an n x n frame with
+    n = |x|*a and multiset labels (each original label repeated |x| times,
+    copies kept adjacent within their run), returned as the pair
+    (DyckPath, labels): no ParkingFunction holds multiset labels.
+    """
+    x, y = bezout_xy(pf.a, pf.b)
+    nx = -x
+    word = []
+    labels = []
+    row = 0
+    for step in pf.word:
+        if step == "N":
+            word.append("N" * nx)
+            labels.extend([pf.labels[row]] * nx)
+            row += 1
+        else:
+            word.append("E" * y)
+    # drop the final E; DyckPath checks that P'' is a Dyck path
+    n = nx * pf.a
+    return DyckPath("".join(word)[:-1], n, n), tuple(labels)
+
+
+def ppp_dinv(pf):
+    """dinv(P''): the classical dinv of the stretch's path and labels."""
+    path, labels = stretch_to_ppp(pf)
+    return parking._dinv(labels, parking._classical_terms(path))
+
+
+def max_stretched_dinv(d):
+    """m(D): maximum of dinv(P'') over all labelings of d."""
+    return max(ppp_dinv(pf) for pf in labelings_of(d))
+
+
+def pf_from_json(data):
+    """Inverse of ParkingFunction.to_json."""
+    return ParkingFunction(data["word"], tuple(data["labels"]), *data["frame"])
 
 
 def test_validation():
@@ -47,7 +166,6 @@ def test_validation():
         ParkingFunction("ENNEE", (1, 2), 2, 3)  # dips below the diagonal
     with pytest.raises(ValueError):
         ParkingFunction("NENEE", (1,), 2, 3)  # one label short
-    ParkingFunction("NNEEE", (2, 1), 2, 3, multiset=True)
     assert ParkingFunction("NENEE", (1, 2), 2, 3).path == DyckPath("NENEE", 2, 3)
 
 
@@ -91,15 +209,16 @@ def test_trusted_labelings_match_validated(a, b):
 @pytest.mark.parametrize("a,b", [f for f in TRUSTED_FRAMES if f[0] != f[1]])
 def test_trusted_stretch_matches_validated(a, b):
     for pf in enumerate_pf(a, b):
-        pp = stretch_to_ppp(pf)
-        n = pp.a
-        assert pp.path == DyckPath(pp.word, n, n)
-        assert pp == ParkingFunction(pp.word, pp.labels, n, n, multiset=True)
+        path, labels = stretch_to_ppp(pf)
+        n = path.a
+        assert path == DyckPath(path.word, n, n) and path.b == n
+        k = n // pf.a
+        assert labels == tuple(x for x in pf.labels for _ in range(k))
 
 
 def test_stretch_rejects_non_dyck_result(monkeypatch):
     # a wrong Bezout pair stretches the path off the n x n frame
-    monkeypatch.setattr(parking, "bezout_xy", lambda a, b: (-1, 2))
+    monkeypatch.setitem(globals(), "bezout_xy", lambda a, b: (-1, 2))
     with pytest.raises(ValueError):
         stretch_to_ppp(ParkingFunction("NENEE", (1, 2), 2, 3))
 
@@ -111,7 +230,7 @@ def test_dinv_range_check_survives_optimize():
         "import ratcat.parking as p\n"
         "p._path_terms = lambda d: (0, 99, (), (0, 1))\n"
         "try:\n"
-        "    p.dinv_rational(p.ParkingFunction('NENEE', (1, 2), 2, 3))\n"
+        "    p._dinv((1, 2), p._rational_terms(p.DyckPath('NENEE', 2, 3)))\n"
         "except AssertionError:\n"
         "    print('raised')\n"
     )
@@ -170,7 +289,7 @@ def test_classical_example():
     P = from_preference_vector((2, 4, 1, 2, 1))
     assert _g_vector(P.path) == (0, 1, 1, 2, 1)
     assert P.labels == (3, 5, 1, 4, 2)
-    assert P.area() == 5
+    assert area(P.path) == 5
     assert dinv_classical(P) == 2
     assert drw_classical(P) == (4, 2, 1, 5, 3)
     assert ides(drw_classical(P)) == frozenset({1, 3})
@@ -203,12 +322,12 @@ def test_bezout_windows():
 
 def test_rational_example():
     P = ParkingFunction("NNENNEENEEEEE", (4, 5, 1, 3, 2), 5, 8)
-    assert P.area() == 9
+    assert area(P.path) == 9
     assert drw_rational(P) == (4, 5, 1, 2, 3)
     assert ides(drw_rational(P)) == frozenset({3})
-    pp = stretch_to_ppp(P)
-    assert pp.word == "N" * 6 + "E" * 2 + "N" * 6 + "E" * 4 + "N" * 3 + "E" * 9
-    assert dinv_classical(pp) == 5
+    path, _ = stretch_to_ppp(P)
+    assert path.word == "N" * 6 + "E" * 2 + "N" * 6 + "E" * 4 + "N" * 3 + "E" * 9
+    assert ppp_dinv(P) == 5
     assert d_stat(P.path) == 3
     assert max_stretched_dinv(P.path) == 6
     assert dinv_rational(P) == 2
@@ -217,7 +336,7 @@ def test_rational_example():
 def test_max_dinv_achieved_by_stated_labeling():
     d = DyckPath("NNENNEENEEEEE", 5, 8)
     P = ParkingFunction(d.word, (1, 2, 3, 5, 4), 5, 8)
-    assert dinv_classical(stretch_to_ppp(P)) == 6
+    assert ppp_dinv(P) == 6
 
 
 def test_three_pf_table_2_3():
@@ -228,8 +347,8 @@ def test_three_pf_table_2_3():
     ]
     for word, labels, ar, dpp, d, m, dv, S in rows:
         P = ParkingFunction(word, labels, 2, 3)
-        assert P.area() == ar
-        assert dinv_classical(stretch_to_ppp(P)) == dpp
+        assert area(P.path) == ar
+        assert ppp_dinv(P) == dpp
         assert d_stat(P.path) == d
         assert max_stretched_dinv(P.path) == m
         assert dinv_rational(P) == dv
@@ -251,7 +370,7 @@ def test_a_equals_one_convention():
 
 def test_json_round_trip():
     P = ParkingFunction("NENEE", (2, 1), 2, 3)
-    assert ParkingFunction.from_json(P.to_json()) == P
+    assert pf_from_json(P.to_json()) == P
 
 
 # -- the level route against the stretch -----------------------------------
@@ -265,7 +384,7 @@ DIFF_FRAMES = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (5, 3),
 
 def stretch_dinv(pf, d, m):
     """dinv through the Bezout stretch, given d(P) and m(D) of its path."""
-    return dinv_classical(stretch_to_ppp(pf)) + d - m
+    return ppp_dinv(pf) + d - m
 
 
 def tdinv(pf, width):

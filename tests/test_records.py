@@ -45,15 +45,12 @@ class ParkingFunction:
     labels: tuple
     a: int
     b: int
-    multiset: bool = False
     path: DyckPath = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "path", DyckPath(self.word, self.a, self.b))
         if len(self.labels) != self.a:
             raise ValueError("one label per north step required")
-        if self.multiset:
-            return
         if sorted(self.labels) != list(range(1, self.a + 1)):
             raise ValueError(f"labels {self.labels} are not a permutation of 1..{self.a}")
         for run in _run_label_groups(self.word, self.labels):
@@ -126,10 +123,8 @@ VALID = [
     ("ParkingFunction", ("NENEE", (1, 2), 2, 3), {}),
     ("ParkingFunction", ("NENEE", (2, 1), 2, 3), {}),
     ("ParkingFunction", ("NNEEE", (1, 2), 2, 3), {}),
-    ("ParkingFunction", ("NNEEE", (1, 1), 2, 3), {"multiset": True}),
-    ("ParkingFunction", ("NNEEE", (1, 2), 2, 3), {"multiset": True}),
-    ("ParkingFunction", (), {"word": "NENEE", "labels": (1, 2), "a": 2,
-                             "b": 3, "multiset": False}),
+    ("ParkingFunction", (), {"word": "NNEEE", "labels": (1, 2), "a": 2,
+                             "b": 3}),
     ("RootNotationPF", ("NNEE", (1, 2)), {}),
     ("RootNotationPF", ("NNEE", (2, 1)), {}),
     ("RootNotationPF", ("NENE", (1, 2)), {}),
@@ -148,7 +143,6 @@ INVALID = [
     ("DyckPath", ("NEX", 1, 1), {}),
     ("ParkingFunction", ("ENNEE", (1, 2), 2, 3), {}),
     ("ParkingFunction", ("NNEEE", (1,), 2, 3), {}),
-    ("ParkingFunction", ("NNEEE", (1,), 2, 3), {"multiset": True}),
     ("ParkingFunction", ("NENEE", (1, 3), 2, 3), {}),
     ("ParkingFunction", ("NNEEE", (2, 1), 2, 3), {}),
     ("ParkingFunction", ("NNEEE", (1, 1), 2, 3), {}),
