@@ -125,6 +125,9 @@ VALID = [
     ("ParkingFunction", ("NNEEE", (1, 2), 2, 3), {}),
     ("ParkingFunction", (), {"word": "NNEEE", "labels": (1, 2), "a": 2,
                              "b": 3}),
+    # keywords out of field order bind by name, not by place
+    ("ParkingFunction", (), {"labels": (1, 2), "word": "NENEE", "a": 2,
+                             "b": 3}),
     ("RootNotationPF", ("NNEE", (1, 2)), {}),
     ("RootNotationPF", ("NNEE", (2, 1)), {}),
     ("RootNotationPF", ("NENE", (1, 2)), {}),
