@@ -157,10 +157,9 @@ def main(argv=None):
                    help="one claim name, or 'all' (the default)")
     p.add_argument(
         "--range", type=int, default=10, dest="bound",
-        help="largest a and b (default 10, at least 1) of conj_rat_qcat, "
-             "conj_nonstd_qbin, thm_ratcat, conj_ratqt_symm, conj_qtcat_spec "
-             "and sweep_injective; every other claim runs at fixed frames "
-             "(see README)")
+        help="largest a and b (default 10, at least 1) of the claims that "
+             "grow with it; the others run at fixed frames (README names "
+             "both)")
     p.add_argument("--timings", action="store_true",
                    help="add each check's seconds, the peak RSS so far and "
                         "the objects it enumerated (see README)")

@@ -122,20 +122,14 @@ def pf_qt(a, b, descending=False):
     anything else raises SchurPositivityError.
     """
     _require_coprime(a, b)
-    return _shuffle_schur(a, b, lambda d: _rational_terms(d, descending),
-                          f"in frame ({a},{b})")
-
-
-def _shuffle_schur(a, b, path_terms, where):
-    """Schur expansion of sum_P q^area t^dinv F_{a, IDes(reading word)} over
-    the (a,b) parking functions, checked to be symmetric and Schur positive.
-    path_terms(d) gives the (dinv offset, dinv bound, pairs, reading order)
-    of each Dyck path d."""
-    return _descent_set_fold(a, _descent_histogram(a, b, path_terms), where)
+    hist = _descent_histogram(a, b, lambda d: _rational_terms(d, descending))
+    return _descent_set_fold(a, hist, f"in frame ({a},{b})")
 
 
 def _descent_histogram(a, b, path_terms):
-    """{(IDes bitmask, area, dinv): how many parking functions}.
+    """{(IDes bitmask, area, dinv): how many parking functions} over the
+    (a,b) parking functions, where path_terms(d) gives the (dinv offset,
+    dinv bound, pairs, reading order) of each Dyck path d.
 
     On each path the labels 1..a are placed in turn, each on the lowest free
     north step of some run. Labels increase up a run, so a labeling is the
@@ -242,7 +236,8 @@ def classical_shuffle_side(n):
     parking functions (the combinatorial side only)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _shuffle_schur(n, n, _classical_terms, f"at n={n}")
+    return _descent_set_fold(n, _descent_histogram(n, n, _classical_terms),
+                             f"at n={n}")
 
 
 def classical_cat_qt(n):

@@ -70,8 +70,7 @@ class CheckReport:
         self.passed = passed
         self.witness = witness
         self.seconds = seconds
-        # what the checker raised (run_sweep gives its traceback text
-        # instead, which a worker process can send back); not serialised
+        # None, or the traceback text of a crash; not serialised
         self.error = error
         self.peak_rss_kb = peak_rss_kb  # of the process that ran it, at its end
         self.counters = {} if counters is None else counters  # what it enumerated
@@ -94,40 +93,51 @@ class CheckReport:
         return out
 
 
-def _timed(claim, params, body, args):
-    """Run body(*args, counters) as one check of claim: body fills in the
-    counters dict and returns its witness, or None when the claim holds.
-    A body that raises gives a failed report whose witness names the
-    exception, so the rest of a sweep still runs."""
-    counters, error = {}, None
-    t0 = time.perf_counter()
-    try:
-        witness = body(*args, counters)
-    except Exception as exc:
-        witness = {"exception": type(exc).__name__, "message": str(exc)}
-        error = exc
-    return CheckReport(
-        claim, params, witness is None, witness, time.perf_counter() - t0,
-        error, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, counters,
-    )
-
-
 CLAIMS = []  # claim names (as in the reports), in the order defined below
 
 
-def _claim(name, *params):
-    """Make the decorated body the checker of claim `name`: it takes the
-    frame args, names them by params in the report, and returns a
-    CheckReport (see _timed)."""
+def _checker(name, body):
+    """The checker of claim `name`: check(*frame) runs body(*frame,
+    counters), which fills in the counters dict and returns its witness, or
+    None when the claim holds, and gives the timed CheckReport. Its params
+    name the frame by body's own positional parameters, all but the last,
+    `counters`. A body that raises gives a failed report whose witness
+    names the exception and whose error is its traceback text, which
+    pickles whatever the exception held, so the rest of a sweep still
+    runs."""
+    code = body.__code__
+    *params, last = code.co_varnames[:code.co_argcount]
+    if last != "counters":
+        raise TypeError(f"{body.__name__} must take counters last")
+
+    @functools.wraps(body)
+    def check(*args):
+        counters, error = {}, None
+        t0 = time.perf_counter()
+        try:
+            witness = body(*args, counters)
+        except Exception as exc:
+            import traceback  # only a crash needs it
+
+            witness = {"exception": type(exc).__name__, "message": str(exc)}
+            error = "".join(traceback.format_exception(exc))
+        return CheckReport(
+            name, dict(zip(params, args)), witness is None, witness,
+            time.perf_counter() - t0, error,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, counters,
+        )
+
+    check.claim, check.params = name, tuple(params)
+    return check
+
+
+def _claim(name):
+    """Decorator: add `name` to CLAIMS and make the body that claim's
+    checker (see _checker)."""
 
     def wrap(body):
-        @functools.wraps(body)
-        def check(*args):
-            return _timed(name, dict(zip(params, args)), body, args)
-
-        check.claim, check.params = name, params
         CLAIMS.append(name)
-        return check
+        return _checker(name, body)
 
     return wrap
 
@@ -143,11 +153,11 @@ def _claim(name, *params):
 # thm_ratcat, once per triangle word. conj_rat_qcat needs only the triangle
 # and walks the Dyck words instead.
 #
-# The level route (frame_entries, _word_stats) lives in partitions.py and
-# the arm/leg route (_arm_leg_walk, _arm_leg_cells) here: they are the two
-# sides of lem_h_via_labels and share no helper. The helpers below serve
-# only these checkers, so they live here and not in partitions.py, which
-# every command imports and compiles.
+# The level route (frame_entries) lives in partitions.py and the arm/leg
+# route (_arm_leg_walk, _arm_leg_cells) here: they are the two sides of
+# lem_h_via_labels and share no helper. The helpers below serve only these
+# checkers, so they live here and not in partitions.py, which every command
+# imports and compiles.
 
 
 _N_E = str.maketrans("10", "NE")
@@ -247,7 +257,7 @@ def _shift_increments(code, a, b):
     return sign * pairs, sign * lv
 
 
-@_claim("conj_rat_qcat", "a", "b")
+@_claim("conj_rat_qcat")
 def check_conj_rat_qcat(a, b, counters):
     """Triangle sum of q^(|mu| + h) equals the rational q-Catalan number,
     for both the h+ and h- statistics. The triangle's frontier words are
@@ -272,7 +282,7 @@ def check_conj_rat_qcat(a, b, counters):
                     "target": target.to_json()}
 
 
-@_claim("conj_nonstd_qbin", "a", "b")
+@_claim("conj_nonstd_qbin")
 def check_conj_nonstd_qbin(a, b, counters):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
@@ -287,7 +297,7 @@ def check_conj_nonstd_qbin(a, b, counters):
                     "target": target.to_json()}
 
 
-@_claim("thm_ratcat", "a", "b")
+@_claim("thm_ratcat")
 def check_thm_ratcat(a, b, counters):
     """Box sum factors as [a+b]_q times the triangle sum, and the orbit of
     every triangle word under cyclic shifts has the shape the factorisation
@@ -326,7 +336,7 @@ def check_thm_ratcat(a, b, counters):
             return {"orbit_rep": list(partition_of_frontier(w0, a, b))}
 
 
-@_claim("lem_h_via_labels", "a", "b")
+@_claim("lem_h_via_labels")
 def check_lem_h_via_labels(a, b, counters):
     """Arm/leg window counts match the frontier-level pair counts, checked
     word by word as the two walks yield them in step."""
@@ -344,7 +354,7 @@ def check_lem_h_via_labels(a, b, counters):
             return {"mu": _mu(c, a, b), "sign": "-"}
 
 
-@_claim("lem_cyc_shift", "a", "b")
+@_claim("lem_cyc_shift")
 def check_lem_cyc_shift(a, b, counters):
     """The h+ increment of one cyclic shift, via both stated formulas."""
     h_plus_of = {c: s[2] for c, s in frame_entries(a, b)}
@@ -362,7 +372,7 @@ def check_lem_cyc_shift(a, b, counters):
 # -- q,t-Catalan claims ----------------------------------------------------
 
 
-@_claim("conj_ratqt_symm", "a", "b")
+@_claim("conj_ratqt_symm")
 def check_symmetry(a, b, counters):
     """Cat_{a,b}(q,t) = Cat_{a,b}(t,q)."""
     c = cat_qt(a, b)
@@ -370,7 +380,7 @@ def check_symmetry(a, b, counters):
         return {"poly": c.to_json()}
 
 
-@_claim("conj_qtcat_spec", "a", "b")
+@_claim("conj_qtcat_spec")
 def check_spec(a, b, counters):
     """q^((a-1)(b-1)/2) Cat_{a,b}(q, 1/q) equals the rational q-Catalan."""
     shift = (a - 1) * (b - 1) // 2
@@ -383,7 +393,7 @@ def check_spec(a, b, counters):
 # -- parking-function claims -----------------------------------------------
 
 
-@_claim("conj_abpf", "a", "b")
+@_claim("conj_abpf")
 def check_conj_abpf(a, b, counters):
     """Three-part parking-function conjecture: q,t symmetry of every Schur
     coefficient, the Hilbert specialization [b]_q^(a-1), and the Schroeder
@@ -419,7 +429,7 @@ def check_conj_abpf(a, b, counters):
 # -- counting and bijection claims -----------------------------------------
 
 
-@_claim("macmahon_maj", "n")
+@_claim("macmahon_maj")
 def check_macmahon(n, counters):
     """Major index on Dyck words is distributed by Cat_{n,n+1}(q)."""
     total = LaurentQT(Counter((maj(d), 0) for d in enumerate_dyck(n, n)))
@@ -428,7 +438,7 @@ def check_macmahon(n, counters):
         return {"sum": total.to_json(), "target": target.to_json()}
 
 
-@_claim("prop_multinomial", "a", "b")
+@_claim("prop_multinomial")
 def check_prop_multinomial(a, b, counters):
     """Dyck path counts by run structure match the multinomial formula."""
     seen = {}
@@ -443,7 +453,7 @@ def check_prop_multinomial(a, b, counters):
         return {"total": total}
 
 
-@_claim("bizley_counts", "a", "b")
+@_claim("bizley_counts")
 def check_bizley(a, b, counters):
     """|D(N^a E^b)| = (a+b-1)!/(a! b!) and |PF_{a,b}| = b^(a-1)."""
     paths = counters["dyck_paths"] = sum(1 for _ in enumerate_dyck(a, b))
@@ -454,7 +464,7 @@ def check_bizley(a, b, counters):
         return {"pfs": pfs}
 
 
-@_claim("dinv_eq_area_prime_zeta", "n")
+@_claim("dinv_eq_area_prime_zeta")
 def check_dinv_zeta(n, counters):
     """dinv(P) = area'(zeta(P)) over all classical parking functions."""
     counters["parking_functions"] = 0
@@ -465,7 +475,7 @@ def check_dinv_zeta(n, counters):
                 return pf.to_json()
 
 
-@_claim("thm_rational_frobenius", "a", "b")
+@_claim("thm_rational_frobenius")
 def check_frobenius(a, b, counters):
     """The four Frobenius routes agree and carry the right dimension."""
     fm = basis_convert(frob_h(a, b), "m")
@@ -488,7 +498,7 @@ def check_frobenius(a, b, counters):
             return {"hook_k": k}
 
 
-@_claim("fixed_points", "a", "b")
+@_claim("fixed_points")
 def check_fixed_points(a, b, counters):
     """Parking functions fixed by a permutation of cycle type lam number
     b^(len(lam)-1); checked by brute-force relabeling."""
@@ -551,7 +561,7 @@ def _run_slices(word, a):
     return [slice(run[0], run[-1] + 1) for run in _run_label_groups(word, range(a))]
 
 
-@_claim("qbin_recursion", "n")
+@_claim("qbin_recursion")
 def check_qbin_recursion(n, counters):
     """Both standard q-binomial recursions at total degree n."""
     row = [q_binomial(n - 1, s) for s in range(n)]
@@ -564,7 +574,7 @@ def check_qbin_recursion(n, counters):
             return {"s": s, "r": r}
 
 
-@_claim("sweep_injective", "a", "b")
+@_claim("sweep_injective")
 def check_sweep_contract(a, b, counters):
     """sweep lands in Dyck paths and is injective on them."""
     counters["dyck_paths"] = 0
@@ -617,8 +627,7 @@ def sweep_tasks(limit=10):
 def run_sweep(limit=10, claim="all", workers=1):
     """Run the default sweep, yielding each report in task order as soon as
     it and every report before it are done; a claim name from CLAIMS keeps
-    only that claim's tasks. A crashed check's report carries the formatted
-    traceback as its error.
+    only that claim's tasks.
 
     With workers > 1, task 0 runs here first, so its report is not delayed,
     and the rest on up to `workers` processes forked from this one
@@ -633,11 +642,11 @@ def run_sweep(limit=10, claim="all", workers=1):
     tasks = [(chk, args) for chk, args in sweep_tasks(limit)
              if claim == "all" or chk.claim == claim]
     workers = min(workers, len(tasks) - 1)
-    if workers < 2 or not hasattr(os, "fork"):
-        yield from map(_run_task, tasks)
-        return
-    yield _run_task(tasks[0])
-    yield from _run_forked(tasks, workers)
+    forked = workers > 1 and hasattr(os, "fork")
+    for chk, args in tasks[:1] if forked else tasks:
+        yield chk(*args)
+    if forked:
+        yield from _run_forked(tasks, workers)
 
 
 def _run_forked(tasks, workers):
@@ -763,25 +772,14 @@ def _work(tasks, feed, out, inherited):
             os.close(fd)
         while index := os.read(feed, 4):
             i = int.from_bytes(index, "little")
-            data = pickle.dumps((i, _run_task(tasks[i])))
+            chk, args = tasks[i]
+            data = pickle.dumps((i, chk(*args)))
             frame = memoryview(len(data).to_bytes(4, "little") + data)
             while frame:
                 frame = frame[os.write(out, frame):]
         code = 0
     finally:
         os._exit(code)
-
-
-def _run_task(task):
-    """The report of one (checker, args) task; a crash's exception becomes
-    its traceback text, which pickles whatever the exception holds."""
-    chk, args = task
-    report = chk(*args)
-    if report.error is not None:
-        import traceback  # only a crash needs it
-
-        report.error = "".join(traceback.format_exception(report.error))
-    return report
 
 
 def reports_to_jsonl(reports, include_seconds=False):

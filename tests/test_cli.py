@@ -20,7 +20,7 @@ import ratcat.verify
 from ratcat.cli import main
 from ratcat.qt import ONE, ExactDivisionError
 from ratcat.verify import (
-    _timed,
+    _checker,
     check_conj_abpf,
     check_conj_rat_qcat,
     check_macmahon,
@@ -374,14 +374,8 @@ def test_verify_writes_each_line_before_the_next_check(monkeypatch, tmp_path):
     assert written == [first_line + "\n"]
 
 
-def _failing(a, b):
-    return _timed("fails", {"a": a, "b": b},
-                  lambda a, b, counters: {"n": 1}, (a, b))
-
-
-def _crashing(a, b):
-    return _timed("crashes", {"a": a, "b": b},
-                  lambda a, b, counters: 1 // 0, (a, b))
+_failing = _checker("fails", lambda a, b, counters: {"n": 1})
+_crashing = _checker("crashes", lambda a, b, counters: 1 // 0)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -410,9 +404,7 @@ def test_crashed_check_keeps_the_sweep(monkeypatch, capsys, checkers, expect,
     assert mine[-1]["witness"] == {"n": 1}
 
 
-def _pid(n):
-    return _timed("pid", {"n": n},
-                  lambda n, counters: {"pid": os.getpid()}, (n,))
+_pid = _checker("pid", lambda n, counters: {"pid": os.getpid()})
 
 
 @pytest.mark.parametrize("threads, tasks, here", [

@@ -164,7 +164,16 @@ def _pair(case):
 
 
 def _ids(cases):
-    return [f"{name}{args or tuple(kw.values())}" for name, args, kw in cases]
+    """Each case as its call, keywords by name, so a keyword case and its
+    positional twin get ids of their own."""
+    return [f"{name}(" + ", ".join([*map(repr, args),
+                                    *(f"{k}={v!r}" for k, v in kw.items())])
+            + ")" for name, args, kw in cases]
+
+
+def test_case_ids_are_unique():
+    for cases in (VALID, INVALID):
+        assert len(set(_ids(cases))) == len(cases)
 
 
 # -- the frozen records ----------------------------------------------------

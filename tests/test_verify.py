@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import time
+from collections import Counter
 from glob import glob
 from math import gcd
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ratcat.verify
+from ratcat.cli import GOLDEN_CAT_FRAMES, GOLDEN_PF_FRAMES
 from ratcat.frob import frob_s, pf_qt
 from ratcat.parking import _label_tuples, _run_label_groups, enumerate_pf
 from ratcat.partitions import (
@@ -31,11 +33,11 @@ from ratcat.qt import LaurentQT
 from ratcat.verify import (
     CLAIMS,
     CheckReport,
+    _checker,
     _fixed_point_counts,
     _perm_of_cycle_type,
     _run_slices,
     _shift_increments,
-    _timed,
     check_bizley,
     check_conj_abpf,
     check_conj_nonstd_qbin,
@@ -144,7 +146,30 @@ def test_claim_registry_names_each_checker():
     assert len(CLAIMS) == len(set(CLAIMS))
     for name in CLAIMS:
         chk, first = next((c, args) for c, args in tasks if c.claim == name)
-        assert chk(*first).claim == name
+        report = chk(*first)
+        assert report.claim == name
+        assert tuple(report.params) == chk.params, name
+
+
+def test_a_checker_names_its_frame_by_its_body_parameters():
+    chk = _checker("demo", lambda a, b, counters: None)
+    assert (chk.claim, chk.params) == ("demo", ("a", "b"))
+    assert chk(2, 3).params == {"a": 2, "b": 3}
+    with pytest.raises(TypeError, match="counters last"):
+        _checker("demo", lambda a, b: None)
+
+
+def test_readme_names_the_claims_that_range_bounds():
+    # the claims with more tasks at limit 2 than at 1 grow with --range
+    small, large = (Counter(chk.claim for chk, _ in sweep_tasks(limit))
+                    for limit in (1, 2))
+    bounded = sorted(c for c in CLAIMS if small[c] != large[c])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph, = (p for p in readme.split("\n\n") if p.startswith("`--range N`"))
+    before, after = paragraph.split("Every other claim")
+    assert sorted(re.findall(r"`(\w+)`", before)) == bounded
+    assert sorted(re.findall(r"`(\w+)`", after)) == sorted(
+        set(CLAIMS) - set(bounded))
 
 
 def test_claim_selects_a_rebound_checker(monkeypatch):
@@ -192,11 +217,7 @@ def _task(n, body):
     def run(n, counters):
         body(n)
 
-    def check(n):
-        return _timed("task", {"n": n}, run, (n,))
-
-    check.claim, check.params = "task", ("n",)
-    return check, (n,)
+    return _checker("task", run), (n,)
 
 
 def test_a_sweep_stopped_early_leaves_no_worker(monkeypatch, deadline):
@@ -239,6 +260,21 @@ def test_the_feed_outgrows_a_pipe(monkeypatch, tmp_path, deadline, workers):
     assert all(r.passed for r in reports)
     ran = sorted(map(int, (tmp_path / "ran").read_text().split()))
     assert ran == list(range(20_000))
+    _assert_no_child()
+
+
+def test_a_crash_has_one_error_text_however_it_runs(monkeypatch, deadline):
+    def broken(a, b):
+        raise ZeroDivisionError("no box")
+
+    monkeypatch.setattr(ratcat.verify, "frame_entries", broken)
+    error = check_conj_nonstd_qbin(2, 3).error
+    assert error.startswith("Traceback")
+    assert error.endswith("\nZeroDivisionError: no box\n")
+    tasks = [(check_conj_nonstd_qbin, (2, 3))] * 3
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    for workers in (1, 2):  # with 2, tasks 1 and 2 run on forked workers
+        assert [r.error for r in run_sweep(workers=workers)] == [error] * 3
     _assert_no_child()
 
 
@@ -502,6 +538,16 @@ def test_pf_claims_count_schur_terms_and_partitions():
         assert "counters" not in report.to_json()
 
 
+def test_golden_frames_pass_the_claims_that_check_their_tables():
+    # (5,3), the frame of pf_5_3.txt, lies outside the sweep's pf row
+    for frame in GOLDEN_PF_FRAMES:
+        for chk in (check_conj_abpf, check_frobenius):
+            assert chk(*frame).passed, (chk.claim, frame)
+    for frame in GOLDEN_CAT_FRAMES:
+        for chk in (check_conj_rat_qcat, check_symmetry, check_spec):
+            assert chk(*frame).passed, (chk.claim, frame)
+
+
 def test_an_out_of_step_arm_leg_walk_fails_as_an_exception(monkeypatch):
     real = ratcat.verify._arm_leg_walk
 
@@ -518,7 +564,8 @@ def test_an_out_of_step_arm_leg_walk_fails_as_an_exception(monkeypatch):
         monkeypatch.setattr(ratcat.verify, "_arm_leg_walk", walk)
         report = check_lem_h_via_labels(3, 5)
         assert not report.passed
-        assert isinstance(report.error, error)
+        last = report.error.splitlines()[-1]
+        assert last.startswith(error.__name__ + ": "), last
         assert report.witness["exception"] == error.__name__
 
 
