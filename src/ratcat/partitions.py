@@ -19,10 +19,6 @@ def normalize(parts):
     return parts
 
 
-def length(mu):
-    return len(normalize(mu))
-
-
 def conjugate(mu):
     mu = normalize(mu)
     if not mu:

@@ -93,6 +93,15 @@ def _canonical(pairs, base=None):
     return out
 
 
+def _checked_term(term):
+    """A constructor's entry ((q_exp, t_exp), coeff), checked."""
+    (qe, te), c = term
+    if type(qe) is int and type(te) is int and isinstance(c, (int, Fraction)):
+        return (qe, te), c
+    raise TypeError(f"LaurentQT entry {term!r}: exponents must be ints and "
+                    "the coefficient an int or a Fraction")
+
+
 class LaurentQT:
     """A Laurent polynomial in q and t with exact coefficients.
 
@@ -104,9 +113,11 @@ class LaurentQT:
 
     def __init__(self, terms=None):
         """terms: a map or an iterable of ((q_exp, t_exp), coeff) pairs;
-        coefficients of a repeated key add up."""
+        coefficients of a repeated key add up. An exponent that is not an
+        int, or a coefficient that is neither an int nor a Fraction, raises
+        TypeError."""
         pairs = terms.items() if isinstance(terms, dict) else terms or ()
-        self._terms = _canonical(((qe, te), c) for (qe, te), c in pairs)._terms
+        self._terms = _canonical(map(_checked_term, pairs))._terms
 
     # -- constructors ------------------------------------------------------
 

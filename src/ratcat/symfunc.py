@@ -6,6 +6,8 @@ by Kostka numbers, and m reaches s by peeling the unitriangular Kostka
 system. basis_convert converts into m and s only, the two targets the
 commands use. A product of two m-expansions is read off the dominant
 monomials of the result (_m_product), so no monomial is ever expanded.
+s_lam(1^b) is the hook-content product over the cells of lam, and reads
+no Kostka number.
 
 The conversions into h and p, and the Hall pairing and omega built on them,
 are the tests' reference routes and live in tests/test_symfunc.py.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import mul, sub
 
 from .partitions import (
@@ -59,13 +61,15 @@ class SymExpansion(Record):
 
     @classmethod
     def build(cls, degree, basis, mapping):
-        items = []
+        """The expansion sum c * basis_mu over mapping {mu: c}; keys equal
+        after normalize, as (2,) and (2, 0), add up."""
+        summed = {}
         for mu, c in mapping.items():
-            c = LaurentQT.coerce(c)
-            if not c.is_zero():
-                items.append((normalize(mu), c))
-        items.sort(reverse=True)
-        return cls(degree, basis, tuple(items))
+            mu, c = normalize(mu), LaurentQT.coerce(c)
+            summed[mu] = summed[mu] + c if mu in summed else c
+        return cls(degree, basis, tuple(
+            (mu, c) for mu, c in sorted(summed.items(), reverse=True)
+            if not c.is_zero()))
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -241,47 +245,27 @@ def _distinct_perm_count(lam, k):
 def kostka(shape, content):
     """Number of semistandard tableaux of the given shape and content.
 
-    Recursion strips the cells holding the largest content letter, which must
-    form a horizontal strip.
+    The cells holding the last letter form a horizontal strip, so the count
+    sums over the ways to strip it; the empty content fills only ().
     """
     shape = normalize(shape)
     if sum(shape) != sum(content):
         return 0
-    if not shape:
+    if not content:
         return 1
-    r = len(content)
-    last = content[-1]
-    if last == 0:
-        return kostka(shape, content[:-1])
-    if r == 1:
-        return 1 if shape == (last,) else 0
-    total = 0
-    for inner in _horizontal_strip_removals(shape, last):
-        total += kostka(inner, content[:-1])
-    return total
+    return sum(kostka(inner, content[:-1])
+               for inner in _horizontal_strip_removals(shape, content[-1]))
 
 
 def _horizontal_strip_removals(shape, strip_size):
-    """All partitions nu with shape/nu a horizontal strip of the given size."""
-    rows = len(shape)
-
-    def rec(i, remaining, prefix):
-        if i == rows:
-            if remaining == 0:
-                yield normalize(prefix)
-            return
-        lower = shape[i + 1] if i + 1 < rows else 0
-        upper = shape[i]
-        cap = prefix[-1] if prefix else None
-        for nu_i in range(lower, upper + 1):
-            removed = upper - nu_i
-            if removed > remaining:
-                continue
-            if cap is not None and nu_i > cap:
-                continue
-            yield from rec(i + 1, remaining - removed, prefix + (nu_i,))
-
-    yield from rec(0, strip_size, ())
+    """All partitions nu with shape/nu a horizontal strip of the given size:
+    those that interlace shape, shape[i+1] <= nu_i <= shape[i], and have
+    strip_size cells fewer."""
+    size = sum(shape) - strip_size
+    ranges = map(range, shape[1:] + (0,), [p + 1 for p in shape])
+    for nu in itertools.product(*ranges):
+        if sum(nu) == size:
+            yield normalize(nu)
 
 
 # -- basis elements expanded in the monomial basis -------------------------
@@ -388,30 +372,22 @@ def basis_convert(f: SymExpansion, target):
     return g if target == "m" else _m_to_s(g)
 
 
+def _hooks(lam):
+    """(content j - i, hook length) of each cell (i, j) of the partition lam."""
+    conj = conjugate(lam)
+    return [(j - i, p - j + conj[j] - i - 1)
+            for i, p in enumerate(lam) for j in range(p)]
+
+
 def schur_principal_special(lam, b):
-    """s_lam(1^b): semistandard tableaux of shape lam with entries <= b."""
-    lam = normalize(lam)
-    n = sum(lam)
-    total = 0
-    for mu in partitions_of(n):
-        ell = len(mu)
-        if ell > b:
-            continue
-        ways = factorial(b)
-        for m in multiplicities(mu).values():
-            ways //= factorial(m)
-        ways //= factorial(b - ell)
-        total += kostka(lam, mu) * ways
-    return total
+    """s_lam(1^b), the number of semistandard tableaux of shape lam with
+    entries <= b, by hook-content: prod (b + content) / prod hook."""
+    cells = _hooks(normalize(lam))
+    return exact_quotient(prod(b + c for c, _ in cells),
+                          prod(h for _, h in cells))
 
 
 def hook_length_dim(lam):
     """Number of standard tableaux of shape lam, by the hook length formula."""
     lam = normalize(lam)
-    n = sum(lam)
-    conj = conjugate(lam)
-    denom = 1
-    for i, p in enumerate(lam, start=1):
-        for j in range(1, p + 1):
-            denom *= (p - j) + (conj[j - 1] - i) + 1
-    return exact_quotient(factorial(n), denom)
+    return exact_quotient(factorial(sum(lam)), prod(h for _, h in _hooks(lam)))

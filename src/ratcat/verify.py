@@ -37,7 +37,6 @@ from .parking import (
 from .partitions import (
     _word_stats,
     frame_entries,
-    length,
     normalize,
     partition_of_frontier,
     partitions_of,
@@ -503,7 +502,7 @@ def check_fixed_points(a, b, counters):
     """Parking functions fixed by a permutation of cycle type lam number
     b^(len(lam)-1); checked by brute-force relabeling."""
     for lam, fixed in _fixed_point_counts(a, b, counters).items():
-        expect = b ** (length(lam) - 1)
+        expect = b ** (len(lam) - 1)
         if fixed != expect:
             return {"lam": list(lam), "fixed": fixed, "expected": expect}
 

@@ -235,6 +235,19 @@ def test_integral_fractions_are_stored_as_ints():
     assert hash(half + half) == hash(Q) and half + half == Q
 
 
+def test_constructor_rejects_non_integer_exponents_and_inexact_coefficients():
+    for terms in ({(0, 0): 0.5}, {(1.0, 0): 1}, {(0, True): 1},
+                  [((0, "1"), 1)], {(0, 0): 1.0}):
+        with pytest.raises(TypeError, match="LaurentQT entry"):
+            LaurentQT(terms)
+    with pytest.raises(TypeError, match="0.5"):
+        LaurentQT.const(0.5)
+    with pytest.raises(TypeError):
+        LaurentQT.monomial(1.0, 0)
+    p = LaurentQT([([1, -2], Fraction(1, 2)), ((1, -2), Fraction(1, 2))])
+    assert p.terms() == [(1, -2, 1)] and p.to_json() == [[1, -2, "1"]]
+
+
 def test_q_int_and_factorial():
     assert q_int(0) == ZERO
     assert q_int(1) == ONE

@@ -1,5 +1,6 @@
 """Symmetric function engine: expansions, conversions, pairings."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from ratcat.symfunc import (
     VarPoly,
     _basis_in_m,
     _distinct_perm_count,
+    _horizontal_strip_removals,
     _m_product,
     _max_exponent,
     basis_convert,
@@ -259,6 +261,138 @@ def test_kostka():
     assert kostka((1, 1), (2,)) == 0
     for lam in partitions_of(5):
         assert kostka(lam, lam) == 1
+
+
+# -- the Kostka-sum Schur layer, kept as the reference of the closed formulas
+
+
+def _strip_removals_recursive(shape, strip_size):
+    """All partitions nu with shape/nu a horizontal strip of the given size,
+    choosing nu_i row by row and pruning once too many cells are removed."""
+    rows = len(shape)
+
+    def rec(i, remaining, prefix):
+        if i == rows:
+            if remaining == 0:
+                yield normalize(prefix)
+            return
+        lower = shape[i + 1] if i + 1 < rows else 0
+        upper = shape[i]
+        cap = prefix[-1] if prefix else None
+        for nu_i in range(lower, upper + 1):
+            removed = upper - nu_i
+            if removed > remaining:
+                continue
+            if cap is not None and nu_i > cap:
+                continue
+            yield from rec(i + 1, remaining - removed, prefix + (nu_i,))
+
+    yield from rec(0, strip_size, ())
+
+
+@functools.lru_cache(maxsize=None)
+def _kostka_recursive(shape, content):
+    """kostka with its special cases spelled out: a last letter 0 is
+    dropped, and a one-letter content fills only the one-row shape."""
+    shape = normalize(shape)
+    if sum(shape) != sum(content):
+        return 0
+    if not shape:
+        return 1
+    last = content[-1]
+    if last == 0:
+        return _kostka_recursive(shape, content[:-1])
+    if len(content) == 1:
+        return 1 if shape == (last,) else 0
+    return sum(_kostka_recursive(inner, content[:-1])
+               for inner in _strip_removals_recursive(shape, last))
+
+
+def _kostka_sum_schur_special(lam, b):
+    """s_lam(1^b) as the sum over mu of K(lam, mu) times the number of
+    compositions of length b that sort to mu."""
+    lam = normalize(lam)
+    total = 0
+    for mu in partitions_of(sum(lam)):
+        ell = len(mu)
+        if ell > b:
+            continue
+        ways = factorial(b)
+        for m in multiplicities(mu).values():
+            ways //= factorial(m)
+        ways //= factorial(b - ell)
+        total += _kostka_recursive(lam, mu) * ways
+    return total
+
+
+def _weak_compositions(n, length):
+    """Every tuple of `length` nonnegative ints that sums to n."""
+    if length == 0:
+        return [()] if n == 0 else []
+    return [(first,) + rest for first in range(n + 1)
+            for rest in _weak_compositions(n - first, length - 1)]
+
+
+def test_strip_removals_match_the_recursion():
+    for n in range(9):
+        for shape in partitions_of(n):
+            for size in range(n + 1):
+                assert (list(_horizontal_strip_removals(shape, size))
+                        == list(_strip_removals_recursive(shape, size)))
+
+
+def test_kostka_matches_the_recursion_with_its_special_cases():
+    pairs = 0
+    for n in range(7):
+        for shape in partitions_of(n):
+            for length in range(n + 2):
+                for content in _weak_compositions(n, length):
+                    assert (kostka(shape, content)
+                            == _kostka_recursive(shape, content)), (shape, content)
+                    pairs += 1
+    assert pairs == 22870
+
+
+def test_hook_content_matches_the_kostka_sum():
+    for n in range(11):
+        for lam in partitions_of(n):
+            for b in range(12):
+                assert (schur_principal_special(lam, b)
+                        == _kostka_sum_schur_special(lam, b)), (lam, b)
+
+
+def _semistandard_contents(lam, b):
+    """{content: how many fillings of lam with entries 1..b have it}, over
+    the fillings whose rows weakly increase and columns strictly increase;
+    content is the tuple of the counts of 1..b."""
+    cells = [(i, j) for i, p in enumerate(lam) for j in range(p)]
+    out = {}
+    for values in itertools.product(range(1, b + 1), repeat=len(cells)):
+        t = dict(zip(cells, values))
+        rows_ok = all(t[i, j - 1] <= v for (i, j), v in t.items() if j)
+        columns_ok = all(t[i - 1, j] < v for (i, j), v in t.items() if i)
+        if rows_ok and columns_ok:
+            content = tuple(values.count(x) for x in range(1, b + 1))
+            out[content] = out.get(content, 0) + 1
+    return out
+
+
+def test_schur_numbers_count_semistandard_fillings():
+    for n in range(6):
+        for lam in partitions_of(n):
+            for b in range(5):
+                counts = _semistandard_contents(lam, b)
+                assert schur_principal_special(lam, b) == sum(counts.values())
+                for content in _weak_compositions(n, b):
+                    assert kostka(lam, content) == counts.get(content, 0)
+
+
+def test_build_adds_keys_equal_after_normalize():
+    assert SymExpansion.build(2, "m", {(2,): 1, (2, 0): 1}).coeffs == (
+        ((2,), LaurentQT.const(2)),)
+    assert SymExpansion.build(2, "m", {(2,): 1, (2, 0): -1}).coeffs == ()
+    f = SymExpansion.build(3, "m", {(2, 1): 1, (2, 1, 0): 2})
+    assert f.coeffs == (((2, 1), LaurentQT.const(3)),)
 
 
 def test_basis_examples():

@@ -1,4 +1,5 @@
-"""Tooling guard: the names that perfbench/tracing.py wraps still exist.
+"""Tooling guard: the names that perfbench/tracing.py wraps or reads still
+exist.
 
 The tracer skips a target it cannot find, so renaming a function it wraps
 (`cli._emit`, `verify.reports_to_jsonl`, `DyckPath.__post_init__`, ...)
@@ -57,3 +58,9 @@ def test_the_tracer_finds_varpoly_and_every_checker():
                 if attr.startswith("check_") and callable(fn)}
     assert all(fn.__name__ == attr for attr, fn in checkers.items())
     assert sorted(fn.claim for fn in checkers.values()) == sorted(CLAIMS)
+
+
+def test_the_tracer_finds_the_kostka_cache():
+    # dump() reads symfunc.kostka.cache_info() for its hit and miss counts
+    info = ratcat.symfunc.kostka.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
