@@ -61,22 +61,23 @@ def enumerate_dyck(a, b):
     lets a level go below 0, so its paths are built unchecked."""
     if a < 0 or b < 0:
         raise ValueError(f"step counts must be nonnegative, got ({a},{b})")
-    buf = []
+    return _dyck_walk(a, b)
 
-    def rec(n_left, e_left, level):
-        if n_left == 0 and e_left == 0:
-            yield DyckPath._trusted("".join(buf), a, b)
-            return
-        if n_left:
-            buf.append("N")
-            yield from rec(n_left - 1, e_left, level + b)
-            buf.pop()
-        if e_left and level - a >= 0:
-            buf.append("E")
-            yield from rec(n_left, e_left - 1, level - a)
-            buf.pop()
 
-    return rec(a, b, 0)
+def _dyck_walk(a, b):
+    """The paths of enumerate_dyck: depth first on a stack of (prefix, N
+    steps left, E steps left, level). Once the N steps are down, the level
+    is a times the E steps left, so the prefix ends in those at once."""
+    stack = [("", a, b, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, n, e, level = pop()
+        if not n:
+            yield DyckPath._trusted(word + "E" * e, a, b)
+            continue
+        if e and level >= a:  # pushed first, so the N child is walked first
+            push((word + "E", n, e - 1, level - a))
+        push((word + "N", n - 1, e, level + b))
 
 
 def count_dyck(a, b):

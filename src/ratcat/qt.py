@@ -197,6 +197,9 @@ class LaurentQT:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if type(n) is not int:
+            raise TypeError(f"LaurentQT power {n!r}: the exponent must be "
+                            "an int")
         if n < 0:
             raise ValueError("negative powers not supported")
         result = LaurentQT.const(1)

@@ -100,34 +100,93 @@ def _checker(name, body):
     counters), which fills in the counters dict and returns its witness, or
     None when the claim holds, and gives the timed CheckReport. Its params
     name the frame by body's own positional parameters, all but the last,
-    `counters`. A body that raises gives a failed report whose witness
-    names the exception and whose error is its traceback text, which
-    pickles whatever the exception held, so the rest of a sweep still
-    runs."""
+    `counters`; its reads, body's keyword-only parameters, come from the
+    _Reads of its job, or of a job of one. A body that raises gives a
+    failed report whose witness names the exception and whose error is its
+    traceback text, which pickles whatever the exception held, so the rest
+    of a sweep still runs."""
     code = body.__code__
     *params, last = code.co_varnames[:code.co_argcount]
     if last != "counters":
         raise TypeError(f"{body.__name__} must take counters last")
+    names = code.co_varnames[code.co_argcount:][:code.co_kwonlyargcount]
 
     @functools.wraps(body)
-    def check(*args):
+    def check(*args, reads=None):
         counters, error = {}, None
         t0 = time.perf_counter()
         try:
-            witness = body(*args, counters)
+            reads = reads or _Reads(args, names)
+            witness = body(*args, counters, **{n: reads[n] for n in names})
         except Exception as exc:
-            import traceback  # only a crash needs it
-
-            witness = {"exception": type(exc).__name__, "message": str(exc)}
-            error = "".join(traceback.format_exception(exc))
+            witness, error = _crash(exc)
         return CheckReport(
             name, dict(zip(params, args)), witness is None, witness,
             time.perf_counter() - t0, error,
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, counters,
         )
 
-    check.claim, check.params = name, tuple(params)
+    check.claim, check.params, check.reads = name, tuple(params), names
     return check
+
+
+def _crash(exc):
+    """(witness, error) of a report that exc failed, kept on exc where it
+    is first made (for a box walk's, where the walk runs)."""
+    if "crash" not in vars(exc):
+        import traceback  # only a crash needs it
+
+        exc.crash = ({"exception": type(exc).__name__, "message": str(exc)},
+                     "".join(traceback.format_exception(exc)))
+    return exc.crash
+
+
+class _Reads:
+    """What the checkers of one job read at its frame, by name (see above
+    the partition claims), each made at its first read, so its time lands
+    in that report. A walk that raises fails every read with one error
+    text: the box walk raises its exception again, cat_qt runs again."""
+
+    def __init__(self, frame, names):
+        self.frame, self.made, self.failed = frame, {}, None
+        self.keep = "table" in names or names.count("entries") > 1
+        self.h_plus = {} if "h_plus" in names and not self.keep else None
+
+    def __getitem__(self, name):
+        if self.failed:
+            raise self.failed
+        if name not in self.made:
+            self.made[name] = self._make(name)
+        return self.made[name]
+
+    def _make(self, name):
+        if name == "cat":
+            return cat_qt(*self.frame)
+        if name == "table":
+            return dict(self._walk())
+        if self.keep:
+            table = self["table"]
+            return {"entries": table.items(), "codes": table,
+                    "h_plus": lambda code: table[code][2]}[name]
+        if name == "entries":
+            return self._walk()
+        if name == "codes":
+            for _ in self["entries"]:  # the rest of the pass
+                pass
+            return self.h_plus
+        return self["codes"].__getitem__
+
+    def _walk(self):
+        h_plus = self.h_plus
+        try:
+            for code, stats in frame_entries(*self.frame):
+                if h_plus is not None:
+                    h_plus[code] = stats[2]
+                yield code, stats
+        except Exception as exc:
+            _crash(exc)
+            self.failed = exc
+            raise
 
 
 def _claim(name):
@@ -147,10 +206,17 @@ def _claim(name):
 # one box walk frame_entries: pairs (code, (|mu|, ml, h+, h-)) in descending
 # code order, with the triangle where ml == 0. The code is the frontier word
 # as an (a+b)-bit int, N = 1 and the first step highest, so a cyclic shift
-# is a bit rotation. A checker keeps of it only what it needs, and rebuilds
-# the word (_word) and mu (partition_of_frontier) only for a witness or, in
-# thm_ratcat, once per triangle word. conj_rat_qcat needs only the triangle
-# and walks the Dyck words instead.
+# is a bit rotation. The word (_word) and mu (partition_of_frontier) are
+# rebuilt only for a witness or, in thm_ratcat, once per triangle word.
+# conj_rat_qcat needs only the triangle and walks the Dyck words instead.
+#
+# At one frame the four run as one job and share one walk (_Reads). Each
+# names what it reads by a keyword-only parameter: `table`, the
+# {code: stats} dict; `entries`, the pairs in walk order; `codes` and
+# `h_plus`, the codes and code -> h+. Where thm_ratcat runs, its table is
+# kept and the others read it. Elsewhere the walk is one pass that feeds
+# lem_h_via_labels in step with _arm_leg_walk while it fills the
+# {code: h+} of lem_cyc_shift. The two q,t-Catalan claims share `cat`.
 #
 # The level route (frame_entries) lives in partitions.py and the arm/leg
 # route (_arm_leg_walk, _arm_leg_cells) here: they are the two sides of
@@ -282,12 +348,12 @@ def check_conj_rat_qcat(a, b, counters):
 
 
 @_claim("conj_nonstd_qbin")
-def check_conj_nonstd_qbin(a, b, counters):
+def check_conj_nonstd_qbin(a, b, counters, *, entries):
     """Box sum of q^(|mu| + ml + h) equals the q-binomial, both variants;
     no coprimality required."""
     target = q_binomial(a + b, a)
     hist = Counter((size + ml + hp, size + ml + hm)  # how many partitions
-                   for _, (size, ml, hp, hm) in frame_entries(a, b))
+                   for _, (size, ml, hp, hm) in entries)
     counters["box_words"] = sum(hist.values())
     for tag, k in (("h+", 0), ("h-", 1)):
         total = LaurentQT(((key[k], 0), n) for key, n in hist.items())
@@ -297,7 +363,7 @@ def check_conj_nonstd_qbin(a, b, counters):
 
 
 @_claim("thm_ratcat")
-def check_thm_ratcat(a, b, counters):
+def check_thm_ratcat(a, b, counters, *, table):
     """Box sum factors as [a+b]_q times the triangle sum, and the orbit of
     every triangle word under cyclic shifts has the shape the factorisation
     rests on.
@@ -311,8 +377,7 @@ def check_thm_ratcat(a, b, counters):
     the orbits of distinct triangle words are disjoint. With
     box(1) = n * tri(1), they cover the box.
     """
-    table = dict(frame_entries(a, b))  # code: (|mu|, ml, h+, h-)
-    counters["box_words"] = len(table)
+    counters["box_words"] = len(table)  # code: (|mu|, ml, h+, h-)
     triangle = [c for c, s in table.items() if s[1] == 0]
     box = LaurentQT(Counter((size + ml + hp, 0)
                             for size, ml, hp, _ in table.values()))
@@ -336,11 +401,11 @@ def check_thm_ratcat(a, b, counters):
 
 
 @_claim("lem_h_via_labels")
-def check_lem_h_via_labels(a, b, counters):
+def check_lem_h_via_labels(a, b, counters, *, entries):
     """Arm/leg window counts match the frontier-level pair counts, checked
     word by word as the two walks yield them in step."""
     counters["box_words"] = 0
-    walks = zip(frame_entries(a, b), _arm_leg_walk(a, b), strict=True)
+    walks = zip(entries, _arm_leg_walk(a, b), strict=True)
     for (c, (_, _, hp, hm)), (arm_c, arm_hp, arm_hm) in walks:
         counters["box_words"] += 1
         if arm_c != c:
@@ -354,14 +419,13 @@ def check_lem_h_via_labels(a, b, counters):
 
 
 @_claim("lem_cyc_shift")
-def check_lem_cyc_shift(a, b, counters):
+def check_lem_cyc_shift(a, b, counters, *, codes, h_plus):
     """The h+ increment of one cyclic shift, via both stated formulas."""
-    h_plus_of = {c: s[2] for c, s in frame_entries(a, b)}
-    counters["box_words"] = len(h_plus_of)
+    counters["box_words"] = len(codes)
     n = a + b
     mask = (1 << n) - 1
-    for c, hp in h_plus_of.items():
-        delta = h_plus_of[c << 1 & mask | c >> (n - 1)] - hp  # shift by one
+    for c in codes:
+        delta = h_plus(c << 1 & mask | c >> (n - 1)) - h_plus(c)  # by one
         f1, f2 = _shift_increments(c, a, b)
         if not delta == f1 == f2:
             return {"mu": _mu(c, a, b), "delta": delta, "pairs": f1,
@@ -372,18 +436,17 @@ def check_lem_cyc_shift(a, b, counters):
 
 
 @_claim("conj_ratqt_symm")
-def check_symmetry(a, b, counters):
+def check_symmetry(a, b, counters, *, cat):
     """Cat_{a,b}(q,t) = Cat_{a,b}(t,q)."""
-    c = cat_qt(a, b)
-    if c != c.swap_q_t():
-        return {"poly": c.to_json()}
+    if cat != cat.swap_q_t():
+        return {"poly": cat.to_json()}
 
 
 @_claim("conj_qtcat_spec")
-def check_spec(a, b, counters):
+def check_spec(a, b, counters, *, cat):
     """q^((a-1)(b-1)/2) Cat_{a,b}(q, 1/q) equals the rational q-Catalan."""
     shift = (a - 1) * (b - 1) // 2
-    left = cat_qt(a, b).specialize_t(-1, shift)
+    left = cat.specialize_t(-1, shift)
     right = rational_q_catalan(a, b)
     if left != right:
         return {"left": left.to_json(), "right": right.to_json()}
@@ -628,43 +691,65 @@ def run_sweep(limit=10, claim="all", workers=1):
     it and every report before it are done; a claim name from CLAIMS keeps
     only that claim's tasks.
 
-    With workers > 1, task 0 runs here first, so its report is not delayed,
-    and the rest on up to `workers` processes forked from this one
-    (_run_forked). A worker that dies (killed by a signal, say) ends the
-    sweep: the first task with no report then gets a failed report whose
-    witness names WorkerDied, the worker's pid and its signal or exit
-    status. With one worker, fewer than two tasks after the first, or no
-    fork on this platform, every task runs here in turn. Every worker is
-    killed and reaped however the caller stops, so close the generator (or
-    run it to its end) before the process exits.
+    The tasks run as jobs (_run_job). With workers > 1, job 0 runs here
+    first, so that report 0 is not delayed, and the rest on up to `workers`
+    processes forked from this one (_run_forked). A worker that dies
+    (killed by a signal, say) ends the sweep: the first task with no report
+    then gets a failed report whose witness names WorkerDied, the worker's
+    pid and its signal or exit status. With one worker, fewer than two jobs
+    after the first, or no fork on this platform, every job runs here in
+    turn. Every worker is killed and reaped however the caller stops, so
+    close the generator (or run it to its end) before the process exits.
     """
     tasks = [(chk, args) for chk, args in sweep_tasks(limit)
              if claim == "all" or chk.claim == claim]
-    workers = min(workers, len(tasks) - 1)
+    jobs = {}  # the tasks at one frame that read one walk (box or cat)
+    for i, (chk, args) in enumerate(tasks):
+        reads = getattr(chk, "reads", ())  # a plain function reads nothing
+        jobs.setdefault(("cat" in reads, args) if reads else i, []).append(i)
+    jobs = list(jobs.values())  # in the order of their first tasks
+    workers = min(workers, len(jobs) - 1)
     forked = workers > 1 and hasattr(os, "fork")
-    for chk, args in tasks[:1] if forked else tasks:
-        yield chk(*args)
+    done, turn = {}, 0  # reports that came before their turn, by task index
+    for job in jobs[:1] if forked else jobs:
+        for i, report in _run_job(tasks, job):
+            done[i] = report
+            while turn in done:
+                yield done.pop(turn)
+                turn += 1
     if forked:
-        yield from _run_forked(tasks, workers)
+        yield from _run_forked(tasks, jobs, workers, done, turn)
 
 
-def _run_forked(tasks, workers):
-    """The reports of tasks[1:] in task order, from `workers` forked
-    processes, which inherit the task list (rebound checkers included).
+def _run_job(tasks, job):
+    """(task index, report) for each task of a job in turn, each as soon as
+    it is done; the checkers of a job of several share one _Reads."""
+    shared = {"reads": _Reads(tasks[job[0]][1], [
+        n for i in job for n in tasks[i][0].reads])} if len(job) > 1 else {}
+    for i in job:
+        chk, args = tasks[i]
+        yield i, chk(*args, **shared)
 
-    Every worker reads task indices, 4 bytes at a time, from one shared
+
+def _run_forked(tasks, jobs, workers, done, turn):
+    """The reports from task `turn` on, in task order, from those in done
+    (by task index) and those of jobs[1:], run by `workers` forked
+    processes, which inherit the task and job lists (rebound checkers
+    included).
+
+    Every worker reads job indices, 4 bytes at a time, from one shared
     feed pipe, so each index goes to exactly one worker as it comes free.
     This process deals them in writes of at most PIPE_BUF bytes, which a
     pipe takes whole or not at all, as fast as the pipe takes them, and
     never blocks on the feed. Each worker sends back length-prefixed
-    pickles of (index, report) on a pipe of its own, which reaches end of
-    file only once the worker is gone. The feed stays open until the last
-    report is in, so a worker gone before then has died: the feed is then
-    closed and emptied, the other workers leave once they have sent what
-    they took, and the first task with no report gets the failed
-    WorkerDied report.
+    pickles of (task index, report) on a pipe of its own, one per task as
+    it is done, which reaches end of file only once the worker is gone.
+    The feed stays open until the last report is in, so a worker gone
+    before then has died: the feed is then closed and emptied, the other
+    workers leave once they have sent what they took, and the first task
+    with no report gets the failed WorkerDied report.
     """
-    # imported here, so that the imports do not delay task 0
+    # imported here, so that the imports do not delay report 0
     import pickle
     import select
     import signal
@@ -688,7 +773,7 @@ def _run_forked(tasks, workers):
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 if not (pid := os.fork()):
-                    _work(tasks, feed_r, w, [feed_w, *pids])
+                    _work(tasks, jobs, feed_r, w, [feed_w, *pids])
             finally:
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
                 os.close(w)
@@ -697,13 +782,12 @@ def _run_forked(tasks, workers):
         for r in pids:
             poller.register(r, select.POLLIN)
         inbox = {r: bytearray() for r in pids}  # read, not yet a whole report
-        done = {}  # reports that came before their turn, by task index
-        sent = turn = 1  # the next task to deal, and the next to yield
+        sent = 1  # the next job to deal
         while True:
-            if died is None and sent < len(tasks):
-                count = min(len(tasks) - sent, select.PIPE_BUF // 4)
-                batch = b"".join(i.to_bytes(4, "little")
-                                 for i in range(sent, sent + count))
+            if died is None and sent < len(jobs):
+                count = min(len(jobs) - sent, select.PIPE_BUF // 4)
+                batch = b"".join(j.to_bytes(4, "little")
+                                 for j in range(sent, sent + count))
                 try:
                     os.write(feed_w, batch)
                     sent += count
@@ -754,11 +838,11 @@ def _run_forked(tasks, workers):
         gc.unfreeze()
 
 
-def _work(tasks, feed, out, inherited):
+def _work(tasks, jobs, feed, out, inherited):
     """The life of a forked worker: close the inherited fds it has no use
-    for, then run each task whose index it reads from feed, writing the
-    report to out as a length-prefixed pickle of (index, report), until
-    feed ends. It leaves by os._exit on every path, KeyboardInterrupt
+    for, then run each job whose index it reads from feed, writing each
+    report to out as a length-prefixed pickle of (task index, report),
+    until feed ends. It leaves by os._exit on every path, KeyboardInterrupt
     included, so it never returns into the parent's code and never flushes
     the parent's buffers."""
     code = 1
@@ -770,12 +854,12 @@ def _work(tasks, feed, out, inherited):
         for fd in inherited:
             os.close(fd)
         while index := os.read(feed, 4):
-            i = int.from_bytes(index, "little")
-            chk, args = tasks[i]
-            data = pickle.dumps((i, chk(*args)))
-            frame = memoryview(len(data).to_bytes(4, "little") + data)
-            while frame:
-                frame = frame[os.write(out, frame):]
+            for i, report in _run_job(tasks, jobs[int.from_bytes(index,
+                                                                 "little")]):
+                data = pickle.dumps((i, report))
+                frame = memoryview(len(data).to_bytes(4, "little") + data)
+                while frame:
+                    frame = frame[os.write(out, frame):]
         code = 0
     finally:
         os._exit(code)

@@ -47,12 +47,46 @@ def test_enumeration_matches_count():
 
 
 def test_enumerate_dyck_rejects_negative_counts():
-    # a negative count used to recurse until RecursionError
-    for a, b in [(-1, 3), (3, -1), (-2, -2)]:
-        with pytest.raises(ValueError):
-            enumerate_dyck(a, b)
-    assert [d.word for d in enumerate_dyck(0, 3)] == ["EEE"]
-    assert [d.word for d in enumerate_dyck(0, 0)] == [""]
+    # a negative count used to recurse until RecursionError; the walk and
+    # its recursive reference raise at the call, before any iteration
+    for walk in (enumerate_dyck, _enumerate_dyck_recursive):
+        for a, b in [(-1, 3), (3, -1), (-2, -2)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                walk(a, b)
+        assert [d.word for d in walk(0, 3)] == ["EEE"]
+        assert [d.word for d in walk(0, 0)] == [""]
+
+
+def _enumerate_dyck_recursive(a, b):
+    """enumerate_dyck as it was before the explicit-stack walk: a recursive
+    generator over the steps, N first, on one shared buffer."""
+    if a < 0 or b < 0:
+        raise ValueError(f"step counts must be nonnegative, got ({a},{b})")
+    buf = []
+
+    def rec(n_left, e_left, level):
+        if n_left == 0 and e_left == 0:
+            yield DyckPath._trusted("".join(buf), a, b)
+            return
+        if n_left:
+            buf.append("N")
+            yield from rec(n_left - 1, e_left, level + b)
+            buf.pop()
+        if e_left and level - a >= 0:
+            buf.append("E")
+            yield from rec(n_left, e_left - 1, level - a)
+            buf.pop()
+
+    return rec(a, b, 0)
+
+
+@pytest.mark.parametrize("a", range(10))
+def test_enumerate_dyck_matches_the_recursive_walk(a):
+    # every frame a, b <= 9, gcd > 1 included: the same words in the same
+    # order, each path equal to the one built with validation
+    for b in range(10):
+        words = [d.word for d in _enumerate_dyck_recursive(a, b)]
+        assert list(enumerate_dyck(a, b)) == [DyckPath(w, a, b) for w in words]
 
 
 def _dyck_words_by_filter(a, b):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,6 +247,17 @@ def test_constructor_rejects_non_integer_exponents_and_inexact_coefficients():
         LaurentQT.monomial(1.0, 0)
     p = LaurentQT([([1, -2], Fraction(1, 2)), ((1, -2), Fraction(1, 2))])
     assert p.terms() == [(1, -2, 1)] and p.to_json() == [[1, -2, "1"]]
+
+
+def test_power_rejects_an_exponent_that_is_not_an_int():
+    # a float used to reach `n & 1` and fail there, naming no exponent
+    for n in (1.5, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError, match=re.escape(f"power {n!r}:")):
+            LaurentQT.const(2) ** n
+    with pytest.raises(ValueError):
+        LaurentQT.const(2) ** -1
+    assert LaurentQT.const(2) ** 10 == LaurentQT.const(1024)
+    assert LaurentQT.const(2) ** 0 == ONE
 
 
 def test_q_int_and_factorial():

@@ -8,11 +8,12 @@ tables are read from its source, which is neither imported as a module nor
 written to.
 """
 
+import sys
 from pathlib import Path
 
 import ratcat.symfunc
 import ratcat.verify
-from ratcat.verify import CLAIMS
+from ratcat.verify import CLAIMS, run_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -64,3 +65,24 @@ def test_the_tracer_finds_the_kostka_cache():
     # dump() reads symfunc.kostka.cache_info() for its hit and miss counts
     info = ratcat.symfunc.kostka.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_the_installed_tracer_names_every_claim_of_a_sweep(monkeypatch):
+    # install() rebinds names in every ratcat module and patches methods on
+    # their classes; each function-valued name is set to itself first, so
+    # that monkeypatch puts every one back afterwards
+    for name, module in list(sys.modules.items()):
+        if name == "ratcat" or name.startswith("ratcat."):
+            for owner in [module, *(v for v in vars(module).values()
+                                    if isinstance(v, type)
+                                    and v.__module__ == name)]:
+                for attr, value in list(vars(owner).items()):
+                    if callable(value) and not isinstance(value, type):
+                        monkeypatch.setattr(owner, attr, value)
+    tracing = _tracing()
+    tracer = tracing["Tracer"]()
+    tracing["install"](tracer)
+    # the box and cat claims run in shared-walk jobs, through the tracer's
+    # rebound check_* like every other claim
+    assert all(r.passed for r in run_sweep(2))
+    assert {claim for claim, _ in tracer.dump()["checks"]} == set(CLAIMS)

@@ -8,7 +8,8 @@ import signal
 import time
 from collections import Counter
 from glob import glob
-from math import gcd
+from itertools import product
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,20 @@ def test_claim_selects_a_rebound_checker(monkeypatch):
     assert [r.params for r in reports] == [{"n": n} for n in range(1, 7)]
     assert all(r.passed and r.claim == "macmahon_maj" for r in reports)
     assert calls == [(n,) for n in range(1, 7)]
+    # lem_cyc_shift shares its box walk with the other box claims in one
+    # job, which must still call the rebound checker at every lemma frame
+    grouped_calls = []
+
+    @functools.wraps(check_lem_cyc_shift)
+    def grouped(*args, **kwargs):
+        grouped_calls.append(args)
+        return check_lem_cyc_shift(*args, **kwargs)
+
+    monkeypatch.setattr(ratcat.verify, "check_lem_cyc_shift", grouped)
+    reports = [r for r in run_sweep(3) if r.claim == "lem_cyc_shift"]
+    assert all(r.passed for r in reports)
+    assert [tuple(r.params.values()) for r in reports] == _coprime_box(8, 8)
+    assert sorted(grouped_calls) == _coprime_box(8, 8)
 
 
 def _children():
@@ -273,8 +288,19 @@ def test_a_crash_has_one_error_text_however_it_runs(monkeypatch, deadline):
     assert error.endswith("\nZeroDivisionError: no box\n")
     tasks = [(check_conj_nonstd_qbin, (2, 3))] * 3
     monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
-    for workers in (1, 2):  # with 2, tasks 1 and 2 run on forked workers
+    for workers in (1, 2):  # one job: the three read one walk at (2, 3)
         assert [r.error for r in run_sweep(workers=workers)] == [error] * 3
+    # jobs of the four box claims, each reading its frame's walk (the
+    # table kept), then of the two lemma claims alone (one pass); with 2
+    # workers, every job after the first runs on a forked worker
+    tasks[:] = [(chk, f) for f in [(2, 3), (3, 4), (3, 5)] for chk in BOX]
+    tasks += [(chk, (3, 7)) for chk in BOX[2:]]
+    assert all(chk(3, 4).error == error for chk in BOX)  # jobs of one
+    for workers in (1, 2):
+        reports = list(run_sweep(workers=workers))
+        assert [r.error for r in reports] == [error] * len(tasks)
+        assert all(r.witness == {"exception": "ZeroDivisionError",
+                                 "message": "no box"} for r in reports)
     _assert_no_child()
 
 
@@ -298,6 +324,28 @@ def test_a_killed_worker_ends_the_sweep_with_a_failed_report(monkeypatch,
     message = reports[3].witness["message"]
     assert re.fullmatch(r"worker \d+ was killed by SIGKILL", message)
     assert reports[3].error == f"WorkerDied: {message}\n"
+    _assert_no_child()
+
+
+def test_a_worker_that_dies_in_a_job_sends_the_reports_it_finished(
+        monkeypatch, deadline):
+    # the worker running the job at (3, 5) is killed in its third task: the
+    # two before it were sent as each was done, and the third gets WorkerDied
+    @functools.wraps(check_lem_h_via_labels)
+    def dying(a, b, **kwargs):
+        if (a, b) == (3, 5):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return check_lem_h_via_labels(a, b, **kwargs)
+
+    box = [check_conj_nonstd_qbin, check_thm_ratcat, dying,
+           check_lem_cyc_shift]
+    tasks = [(chk, f) for f in [(2, 3), (3, 4), (3, 5)] for chk in box]
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    reports = list(run_sweep(workers=2))
+    assert [r.passed for r in reports] == [True] * 10 + [False]
+    assert (reports[-1].claim, reports[-1].params) == (
+        "lem_h_via_labels", {"a": 3, "b": 5})
+    assert reports[-1].witness["exception"] == "WorkerDied"
     _assert_no_child()
 
 
@@ -325,33 +373,36 @@ def test_small_sweep_rerun_determinism():
     assert all(r.passed for r in first)
 
 
-PARTITION_CHECKERS = [
-    check_conj_rat_qcat,
+BOX = [  # the four claims that read the box walk, in sweep order
     check_conj_nonstd_qbin,
     check_thm_ratcat,
     check_lem_h_via_labels,
     check_lem_cyc_shift,
 ]
+PARTITION_CHECKERS = [check_conj_rat_qcat, *BOX]
+CHANGED_WORD = "NENENEEE"  # mu = (2, 1) in the 3 x 5 box, on the triangle
+
+
+def _changed_entries(a, b):
+    """frame_entries with h+ and h- of CHANGED_WORD raised by one."""
+    for c, (size, ml, hp, hm) in frame_entries(a, b):
+        if c == code_of(CHANGED_WORD):
+            assert ml == 0
+            hp, hm = hp + 1, hm + 1
+        yield c, (size, ml, hp, hm)
 
 
 def test_partition_checks_bite_on_a_changed_table(monkeypatch):
     # raise h+ and h- of one triangle entry by one: every check must fail
     mu = (2, 1)
-    word = "NENENEEE"
+    word = CHANGED_WORD
     assert partition_of_frontier(word, 3, 5) == mu
-
-    def changed(a, b):  # the one box walk all four box checks read
-        for c, (size, ml, hp, hm) in frame_entries(a, b):
-            if c == code_of(word):
-                assert ml == 0
-                hp, hm = hp + 1, hm + 1
-            yield c, (size, ml, hp, hm)
 
     def changed_stats(w, a, b):  # the same change, for the Dyck-word walk
         size, ml, hp, hm = _word_stats(w, a, b)
         return (size, ml, hp + 1, hm + 1) if w == word else (size, ml, hp, hm)
 
-    monkeypatch.setattr(ratcat.verify, "frame_entries", changed)
+    monkeypatch.setattr(ratcat.verify, "frame_entries", _changed_entries)
     monkeypatch.setattr(ratcat.verify, "_word_stats", changed_stats)
     for chk in PARTITION_CHECKERS:
         report = chk(3, 5)
@@ -361,6 +412,108 @@ def test_partition_checks_bite_on_a_changed_table(monkeypatch):
     assert check_lem_h_via_labels(3, 5).witness == {"mu": list(mu), "sign": "+"}
     assert check_lem_cyc_shift(3, 5).witness == {
         "mu": list(mu), "delta": 3, "pairs": 4, "levels": 4}
+
+
+def _outcome(report):
+    """What a report says, but for its time and peak RSS."""
+    return (report.claim, report.params, report.passed, report.witness,
+            report.counters, report.error)
+
+
+def test_jobs_report_as_their_checkers_alone(deadline):
+    # every task of the range-5 sweep, the fixed-frame rows included: its
+    # report from a job (shared walk or not, here or on a worker) is the
+    # one its checker gives alone, counters included
+    alone = [_outcome(chk(*args)) for chk, args in sweep_tasks(5)]
+    assert all(passed for _, _, passed, *_ in alone)
+    for workers in (1, 2):
+        assert [_outcome(r) for r in run_sweep(5, workers=workers)] == alone
+    _assert_no_child()
+
+
+def test_a_job_walks_its_frame_once(monkeypatch, deadline):
+    walks = Counter()
+
+    def counted(name, walk):
+        def run(a, b):
+            walks[name, a, b] += 1
+            return walk(a, b)
+        monkeypatch.setattr(ratcat.verify, name, run)
+
+    counted("frame_entries", frame_entries)
+    counted("cat_qt", ratcat.verify.cat_qt)
+    reports = list(run_sweep(3))
+    assert all(r.passed for r in reports)
+    # the box walk once per frame of conj_nonstd_qbin or of the lemmas,
+    # cat_qt once per coprime frame
+    assert walks == Counter(
+        {("frame_entries", a, b): 1
+         for a, b in {*_coprime_box(8, 8), *product(range(1, 4), repeat=2)}}
+        | {("cat_qt", a, b): 1 for a, b in _coprime_box(3, 3)})
+    # two claims that read the box in walk order, with no table read: the
+    # table is kept for both, still from one walk
+    walks.clear()
+    tasks = [(chk, (3, 5)) for chk in (check_conj_nonstd_qbin, *BOX[2:])]
+    alone, *jobs = _run_as_jobs(monkeypatch, tasks)
+    assert jobs == [alone, alone] and all(o[2] for o in alone)
+    assert walks == {("frame_entries", 3, 5): 5}  # 3 alone, 1 per job
+
+
+def _run_as_jobs(monkeypatch, tasks):
+    """The outcomes of tasks alone, then from run_sweep at 1 and 2 workers."""
+    monkeypatch.setattr(ratcat.verify, "sweep_tasks", lambda *args: tasks)
+    return [[_outcome(chk(*args)) for chk, args in tasks]] + [
+        [_outcome(r) for r in run_sweep(workers=workers)]
+        for workers in (1, 2)]
+
+
+def test_changed_walks_name_the_same_witnesses_in_a_job(monkeypatch,
+                                                        deadline):
+    # the box walk changed at (3, 5) and a cat_qt that is not q,t-symmetric:
+    # each claim that reads them fails with the witness it gives alone
+    real_cat_qt = ratcat.verify.cat_qt
+    monkeypatch.setattr(ratcat.verify, "frame_entries", _changed_entries)
+    monkeypatch.setattr(ratcat.verify, "cat_qt", lambda a, b: real_cat_qt(
+        a, b) + LaurentQT.monomial(1, 0))
+    frames = [(2, 3), (3, 5), (3, 4)]
+    tasks = [(chk, f) for f in frames
+             for chk in (check_symmetry, check_spec, *BOX)]
+    alone, *jobs = _run_as_jobs(monkeypatch, tasks)
+    assert jobs == [alone, alone]
+    failed = [(claim, params) for claim, params, passed, *_ in alone
+              if not passed]
+    box = [chk.claim for chk in BOX]
+    assert failed == [
+        (claim, {"a": a, "b": b}) for a, b in frames
+        for claim in ["conj_ratqt_symm", "conj_qtcat_spec"]
+        + (box if (a, b) == (3, 5) else [])]
+    assert all(error is None for *_, error in alone)
+
+
+def test_a_body_that_raises_fails_only_its_own_report(monkeypatch, deadline):
+    # lem_h_via_labels raises part way through its walk: at (3, 5) the
+    # table is kept; at (3, 7) and (2, 9) the lemma claims alone share one
+    # pass, which lem_cyc_shift must still finish
+    real = ratcat.verify._arm_leg_walk
+
+    def failing(a, b):
+        walk = real(a, b)
+        yield next(walk)
+        raise ZeroDivisionError("no arm")
+
+    monkeypatch.setattr(ratcat.verify, "_arm_leg_walk", failing)
+    tasks = [(chk, (3, 5)) for chk in BOX] + [
+        (chk, f) for f in [(3, 7), (2, 9)] for chk in BOX[2:]]
+    alone, *jobs = _run_as_jobs(monkeypatch, tasks)
+    assert jobs == [alone, alone]
+    for (claim, params, passed, witness, counters, _), (chk, (a, b)) in zip(
+            alone, tasks):
+        assert passed == (claim != "lem_h_via_labels"), (claim, params)
+        if claim == "lem_h_via_labels":
+            assert witness["message"] == "no arm"
+            assert counters == {"box_words": 1}
+        else:
+            assert counters == {"box_words": comb(a + b, a)}
 
 
 def test_thm_ratcat_bites_on_a_moved_unit_of_size(monkeypatch):
